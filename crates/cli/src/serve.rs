@@ -1,11 +1,11 @@
-//! `tks serve` — put a sharded archive on the network.
+//! `tks serve` — put an archive on the network.
 //!
 //! Opens the archive through the full per-shard recovery path (degraded
-//! shards are reported and excluded, exactly like `tks archive query`),
-//! then serves read-only queries over the versioned wire protocol until
-//! the process is killed.  Ingest stays process-local (`tks archive
-//! add`/`note`): the WORM trust story wants writes going through the
-//! archive owner, not an open socket.
+//! shards are reported and excluded, exactly like `tks search`), then
+//! serves read-only queries over the versioned wire protocol until the
+//! process is killed.  Ingest stays process-local (`tks add`/`note`):
+//! the WORM trust story wants writes going through the archive owner,
+//! not an open socket.
 //!
 //! ```text
 //! tks serve ARCHIVE [--addr HOST:PORT] [--workers N] [--queue-depth D]
@@ -26,43 +26,24 @@ pub(crate) struct ServeArgs {
     pub config: ServerConfig,
 }
 
-pub(crate) fn parse_args(args: &[String]) -> Result<ServeArgs, Box<dyn std::error::Error>> {
+pub(crate) fn parse_args(args: &[String]) -> CliResult<ServeArgs> {
     let dir = args
         .first()
         .map(PathBuf::from)
         .ok_or("missing ARCHIVE argument")?;
     let mut addr = "127.0.0.1:7045".to_string();
     let mut config = ServerConfig::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args.get(i).ok_or("--addr needs HOST:PORT")?.clone();
-            }
-            "--workers" => {
-                i += 1;
-                config.workers = args.get(i).ok_or("--workers needs a value")?.parse()?;
-            }
-            "--queue-depth" => {
-                i += 1;
-                config.queue_depth = args.get(i).ok_or("--queue-depth needs a value")?.parse()?;
-            }
-            "--deadline-ms" => {
-                i += 1;
-                config.default_deadline_ms =
-                    args.get(i).ok_or("--deadline-ms needs a value")?.parse()?;
-            }
-            "--max-frame-bytes" => {
-                i += 1;
-                config.max_frame_bytes = args
-                    .get(i)
-                    .ok_or("--max-frame-bytes needs a value")?
-                    .parse()?;
-            }
+    let mut flags = args[1..].iter();
+    while let Some(flag) = flags.next() {
+        let mut value = || flags.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--addr" => addr = value()?.clone(),
+            "--workers" => config.workers = value()?.parse()?,
+            "--queue-depth" => config.queue_depth = value()?.parse()?,
+            "--deadline-ms" => config.default_deadline_ms = value()?.parse()?,
+            "--max-frame-bytes" => config.max_frame_bytes = value()?.parse()?,
             other => return Err(format!("unknown serve option {other}").into()),
         }
-        i += 1;
     }
     Ok(ServeArgs { dir, addr, config })
 }
@@ -71,7 +52,9 @@ pub(crate) fn cmd_serve(args: &[String]) -> CliResult {
     let parsed = parse_args(args)?;
     // Full recovery first: a tampered shard comes up degraded before the
     // socket opens, so remote investigators never see it as healthy.
-    let (_writer, searcher) = crate::sharded::open(&parsed.dir)?.into_service();
+    let (_writer, searcher) = crate::archive::open_serving(&parsed.dir)?
+        .archive
+        .into_service();
     let degraded = searcher.degraded().to_vec();
     let handle = ArchiveServer::bind(&parsed.addr, searcher, parsed.config.clone())?;
     println!(

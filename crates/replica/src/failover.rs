@@ -194,6 +194,9 @@ pub fn recover_shard(
 
     let degraded_reason = if engine.is_none() {
         Some(match &primary_error {
+            // No replica was considered (an unreplicated shard): the
+            // engine's own error is the whole story.
+            Some(e) if verdicts.is_empty() => e.clone(),
             Some(e) => format!("primary: {e}; no verified replica to promote"),
             None => "no recoverable image".to_string(),
         })

@@ -197,6 +197,9 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, in_flight: &AtomicUsize, delay: 
                 .execute(job.query)
                 .map_err(|e| WireError::from(&e))
         };
+        // Release the shard handles before the reply: a caller that has
+        // its answer may tear the writer down (`try_into_engines`).
+        drop(job.pinned);
         // The connection may have given up (deadline) — a dead reply
         // channel is fine.
         let _ = job.reply.send(result);
@@ -334,7 +337,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 handle_conn(stream, &conn_shared);
             });
         match spawned {
-            Ok(h) => lock(&shared.conns).push(h),
+            Ok(h) => {
+                // Forget the connections that ended since the last
+                // accept (their threads have already exited), so the
+                // tracked handles stay bounded by the open connections.
+                let mut conns = lock(&shared.conns);
+                conns.retain(|c| !c.is_finished());
+                conns.push(h);
+            }
             Err(_) => {
                 shared.active_conns.fetch_sub(1, Ordering::SeqCst);
             }
@@ -490,5 +500,35 @@ fn run_query(
             WireErrorCode::Internal,
             "query executor vanished before replying",
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tks_shard::ShardedArchive;
+
+    /// Short-lived connections must not accumulate join handles: the
+    /// acceptor reaps finished connection threads on every accept.
+    #[test]
+    fn finished_connections_are_reaped_on_accept() {
+        let archive = ShardedArchive::create(tks_core::EngineConfig::default(), 1).unwrap();
+        let (_writer, searcher) = archive.into_service();
+        let config = ServerConfig::default();
+        let bound = 2 * config.max_connections;
+        let handle = ArchiveServer::bind("127.0.0.1:0", searcher, config).unwrap();
+        for cycle in 0..400 {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            wire::write_request(&mut stream, &WireRequest::Ping).unwrap();
+            let pong = wire::read_response(&mut stream, wire::DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert!(
+                matches!(pong, WireResponse::Pong),
+                "cycle {cycle}: {pong:?}"
+            );
+            drop(stream);
+            let tracked = lock(&handle.shared.conns).len();
+            assert!(tracked <= bound, "cycle {cycle}: {tracked} handles tracked");
+        }
+        handle.shutdown();
     }
 }

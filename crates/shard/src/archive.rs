@@ -80,20 +80,13 @@ impl ShardedArchive {
     /// Create a fresh archive of `shards` empty engines, each configured
     /// with its own copy of `config`.
     pub fn create(config: EngineConfig, shards: u32) -> Result<Self, ShardError> {
-        let router = ShardRouter::new(shards)?;
-        let mut states = Vec::with_capacity(shards as usize);
-        for _ in 0..shards {
-            let engine =
-                SearchEngine::new(config.clone()).map_err(|e| ShardError::Config(e.to_string()))?;
-            states.push(ShardState::Live(Box::new(engine)));
-        }
-        let standbys = (0..states.len()).map(|_| Vec::new()).collect();
-        Ok(ShardedArchive {
-            config,
-            router,
-            states,
-            standbys,
-        })
+        // Refuse an impossible shard count before building that many engines.
+        ShardRouter::new(shards)?;
+        let engines = (0..shards)
+            .map(|_| SearchEngine::new(config.clone()))
+            .collect::<Result<_, _>>()
+            .map_err(|e| ShardError::Config(e.to_string()))?;
+        Self::from_engines(engines)
     }
 
     /// Assemble an archive from pre-built engines (shard id = position).
@@ -144,72 +137,20 @@ impl ShardedArchive {
         parts: Vec<Result<EngineParts, String>>,
         config: EngineConfig,
     ) -> Result<(Self, Vec<ShardRecovery>), ShardError> {
-        let router = ShardRouter::new(parts.len() as u32)?;
-        let mut states = Vec::with_capacity(parts.len());
-        let mut recoveries = Vec::with_capacity(parts.len());
-        for (sid, loaded) in parts.into_iter().enumerate() {
-            let shard = sid as u32;
-            let shard_parts = match loaded {
-                Ok(p) => p,
-                Err(reason) => {
-                    recoveries.push(ShardRecovery {
-                        shard,
-                        quarantined_bytes: 0,
-                        report: None,
-                        error: Some(reason.clone()),
-                        promoted_from: None,
-                        replicas: Vec::new(),
-                    });
-                    states.push(ShardState::Degraded(reason));
-                    continue;
-                }
-            };
-            match SearchEngine::recover(shard_parts, config.clone()) {
-                Ok(engine) => {
-                    let report = engine.recovery_report().clone();
-                    recoveries.push(ShardRecovery {
-                        shard,
-                        quarantined_bytes: report.total_quarantined_bytes(),
-                        report: Some(report),
-                        error: None,
-                        promoted_from: None,
-                        replicas: Vec::new(),
-                    });
-                    states.push(ShardState::Live(Box::new(engine)));
-                }
-                Err(e) => {
-                    let reason = e.to_string();
-                    recoveries.push(ShardRecovery {
-                        shard,
-                        quarantined_bytes: 0,
-                        report: None,
-                        error: Some(reason.clone()),
-                        promoted_from: None,
-                        replicas: Vec::new(),
-                    });
-                    states.push(ShardState::Degraded(reason));
-                }
-            }
-        }
-        let standbys = (0..states.len()).map(|_| Vec::new()).collect();
-        Ok((
-            ShardedArchive {
-                config,
-                router,
-                states,
-                standbys,
-            },
-            recoveries,
-        ))
+        let unreplicated = |primary| ReplicatedShardParts {
+            primary,
+            replicas: Vec::new(),
+        };
+        Self::recover_replicated(parts.into_iter().map(unreplicated).collect(), config)
     }
 
-    /// Recover a **replicated** archive: each shard arrives as its
-    /// primary image plus N replica images, and per-shard recovery may
-    /// **promote** a replica over the primary (see
-    /// [`tks_replica::recover_shard`] for the rule: longest verified
-    /// chain prefix wins; a replica is never promoted over a primary
-    /// that recovered more documents).  A shard only degrades when *no*
-    /// candidate — primary or replica — recovers with a verified chain.
+    /// Recover an archive whose shards each arrive as a primary image
+    /// plus any number of replica images (none for an unreplicated
+    /// archive).  Per-shard recovery may **promote** a replica over the
+    /// primary (see [`tks_replica::recover_shard`] for the rule: longest
+    /// verified chain prefix wins; a replica is never promoted over a
+    /// primary that recovered more documents).  A shard only degrades
+    /// when *no* candidate — primary or replica — recovers.
     ///
     /// Replicas that recover with the chosen engine's exact trust state
     /// become read-scaling standbys (see
@@ -225,39 +166,32 @@ impl ShardedArchive {
         let mut standbys = Vec::with_capacity(shards.len());
         let mut recoveries = Vec::with_capacity(shards.len());
         for (sid, shard_parts) in shards.into_iter().enumerate() {
-            let shard = sid as u32;
             let outcome =
                 tks_replica::recover_shard(shard_parts.primary, shard_parts.replicas, &config);
-            match outcome.engine {
-                Some(engine) => {
-                    let report = engine.recovery_report().clone();
-                    recoveries.push(ShardRecovery {
-                        shard,
-                        quarantined_bytes: report.total_quarantined_bytes(),
-                        report: Some(report),
-                        error: None,
-                        promoted_from: outcome.promoted_from,
-                        replicas: outcome.replicas,
-                    });
-                    states.push(ShardState::Live(engine));
-                    standbys.push(outcome.standbys);
-                }
-                None => {
-                    let reason = outcome
+            let report = outcome.engine.as_ref().map(|e| e.recovery_report().clone());
+            let state = match outcome.engine {
+                Some(engine) => ShardState::Live(engine),
+                None => ShardState::Degraded(
+                    outcome
                         .degraded_reason
-                        .unwrap_or_else(|| "no recoverable image".to_string());
-                    recoveries.push(ShardRecovery {
-                        shard,
-                        quarantined_bytes: 0,
-                        report: None,
-                        error: Some(reason.clone()),
-                        promoted_from: None,
-                        replicas: outcome.replicas,
-                    });
-                    states.push(ShardState::Degraded(reason));
-                    standbys.push(Vec::new());
-                }
-            }
+                        .unwrap_or_else(|| "no recoverable image".to_string()),
+                ),
+            };
+            recoveries.push(ShardRecovery {
+                shard: sid as u32,
+                quarantined_bytes: report
+                    .as_ref()
+                    .map_or(0, RecoveryReport::total_quarantined_bytes),
+                report,
+                error: match &state {
+                    ShardState::Live(_) => None,
+                    ShardState::Degraded(reason) => Some(reason.clone()),
+                },
+                promoted_from: outcome.promoted_from,
+                replicas: outcome.replicas,
+            });
+            states.push(state);
+            standbys.push(outcome.standbys);
         }
         Ok((
             ShardedArchive {
@@ -569,6 +503,30 @@ mod tests {
             }
         }
         assert!(hit_degraded, "hash routing never touched the dead shard");
+    }
+
+    /// Once `execute` has returned and the caller's searcher is gone, no
+    /// scatter worker may still hold a shard handle: teardown must
+    /// succeed every time, not only when the worker loses the race.
+    #[test]
+    fn teardown_right_after_execute_never_sees_a_live_handle() {
+        let (mut writer, mut searcher) =
+            ShardedArchive::create(config(), 3).unwrap().into_service();
+        for &(text, ts) in CORPUS {
+            writer.commit(text, Timestamp(ts)).unwrap();
+        }
+        for round in 0..300 {
+            let resp = searcher.execute(Query::conjunctive("beta")).unwrap();
+            assert_eq!(resp.hits.len(), 5);
+            drop(searcher);
+            let engines = writer
+                .try_into_engines()
+                .unwrap_or_else(|_| panic!("round {round}: a shard handle outlived execute"));
+            let engines = engines.into_iter().flatten().collect();
+            (writer, searcher) = ShardedArchive::from_engines(engines)
+                .unwrap()
+                .into_service();
+        }
     }
 
     #[test]

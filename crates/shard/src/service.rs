@@ -74,6 +74,10 @@ impl ScatterPool {
                     };
                     let Ok(t) = task else { break };
                     let outcome = t.searcher.execute(t.query);
+                    // Release the shard handle before the caller can see
+                    // the reply: once `execute` returns, the caller may
+                    // tear the writer down (`try_into_engines`).
+                    drop(t.searcher);
                     let _ = t.reply.send((t.sid, outcome));
                 });
             // A host that cannot spawn a worker simply gets a smaller
