@@ -3,7 +3,7 @@
 //! conjunctive zigzag search — with and without jump indexes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tks_core::buffered::BufferedIndex;
+use tks_bench::buffered::BufferedIndex;
 use tks_core::engine::{EngineConfig, SearchEngine};
 use tks_core::merge::MergeAssignment;
 use tks_core::query::Query;

@@ -15,7 +15,7 @@
 // (the production no-panic surface is gated by clippy + `cargo xtask audit`).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use tks_bench::{print_table, save_json, Scale};
 use tks_core::cost::{list_lengths, query_cost, unmerged_query_cost};
 use tks_core::engine::EngineConfig;
@@ -34,63 +34,6 @@ struct Summary {
     disjunctive_slowdown_b32: f64,
     conjunctive_jump_vs_nojump: f64,
     conjunctive_jump_vs_baseline: f64,
-    /// Block-granular scan vs per-posting reads, from the `read_path`
-    /// binary's saved results (`None` until it has been run).
-    read_path_scan_speedup: Option<f64>,
-    /// 4-shard vs 1-shard query throughput, from the `sharded` binary's
-    /// saved results (`None` until it has been run).
-    sharded_query_speedup_4x: Option<f64>,
-    /// Network-server saturation throughput (best qps over the measured
-    /// client counts), from the `loadgen` binary's saved results (`None`
-    /// until it has been run).
-    server_saturation_qps: Option<f64>,
-    /// Block-max top-k vs exhaustive disjunctive evaluation, from the
-    /// `at_scale` binary's saved results (`None` until it has been run).
-    at_scale_blockmax_speedup: Option<f64>,
-    /// 2-replica vs unreplicated read throughput, from the `replicated`
-    /// binary's saved results (`None` until it has been run).
-    replicated_read_speedup: Option<f64>,
-}
-
-/// The slice of `results/read_path.json` the summary folds in.
-#[derive(Deserialize)]
-struct ReadPathScan {
-    speedup: f64,
-}
-
-#[derive(Deserialize)]
-struct ReadPathResults {
-    scan: ReadPathScan,
-}
-
-/// The slice of `results/sharded.json` the summary folds in.
-#[derive(Deserialize)]
-struct ShardedResults {
-    query_speedup_4x: f64,
-}
-
-/// The slice of `results/loadgen.json` the summary folds in.
-#[derive(Deserialize)]
-struct LoadgenResults {
-    saturation_qps: f64,
-}
-
-/// The slice of `results/at_scale.json` the summary folds in.
-#[derive(Deserialize)]
-struct AtScaleResults {
-    speedup: f64,
-}
-
-/// The slice of `results/replicated.json` the summary folds in.
-#[derive(Deserialize)]
-struct ReplicatedGate {
-    achieved_speedup: f64,
-    resource_scaling_fallback: bool,
-}
-
-#[derive(Deserialize)]
-struct ReplicatedResults {
-    gate: ReplicatedGate,
 }
 
 fn main() {
@@ -197,44 +140,14 @@ fn main() {
     let conj_vs_nojump = jump_blocks as f64 / scan_blocks_plain;
     let conj_vs_baseline = jump_blocks as f64 / btree_blocks.max(1) as f64;
 
-    // ---- 4. Read-path scan throughput (implementation headline). -------
-    // Not a paper number: the block-granular read path must not change
-    // any block count, only the wall-clock cost per block.  Folded in
-    // from the `read_path` binary's saved results when available.
-    let read_path_speedup = std::fs::read_to_string("results/read_path.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<ReadPathResults>(&s).ok())
-        .map(|r| r.scan.speedup);
-    let sharded_speedup = std::fs::read_to_string("results/sharded.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<ShardedResults>(&s).ok())
-        .map(|r| r.query_speedup_4x);
-    let server_qps = std::fs::read_to_string("results/loadgen.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<LoadgenResults>(&s).ok())
-        .map(|r| r.saturation_qps);
-    let at_scale_speedup = std::fs::read_to_string("results/at_scale.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<AtScaleResults>(&s).ok())
-        .map(|r| r.speedup);
-    let replicated = std::fs::read_to_string("results/replicated.json")
-        .ok()
-        .and_then(|s| serde_json::from_str::<ReplicatedResults>(&s).ok())
-        .map(|r| r.gate);
-
     let s = Summary {
         insert_speedup,
         disjunctive_slowdown_no_jump: disjunctive_slowdown,
         disjunctive_slowdown_b32: disjunctive_b32,
         conjunctive_jump_vs_nojump: conj_vs_nojump,
         conjunctive_jump_vs_baseline: conj_vs_baseline,
-        read_path_scan_speedup: read_path_speedup,
-        sharded_query_speedup_4x: sharded_speedup,
-        server_saturation_qps: server_qps,
-        at_scale_blockmax_speedup: at_scale_speedup,
-        replicated_read_speedup: replicated.as_ref().map(|g| g.achieved_speedup),
     };
-    let mut rows = vec![
+    let rows = vec![
         vec![
             "insertion speedup (merged 128MB vs unmerged 4GB)".into(),
             format!("{insert_speedup:.1}×"),
@@ -261,59 +174,6 @@ fn main() {
             "30% slower".into(),
         ],
     ];
-    if let Some(speedup) = read_path_speedup {
-        rows.push(vec![
-            "block-granular scan vs per-posting reads (read_path)".into(),
-            format!("{speedup:.1}×"),
-            "n/a (impl)".into(),
-        ]);
-    } else {
-        eprintln!("[summary] results/read_path.json not found — run `--bin read_path` to fold in the read-path headline");
-    }
-    if let Some(speedup) = sharded_speedup {
-        rows.push(vec![
-            "4-shard vs 1-shard query throughput (sharded)".into(),
-            format!("{speedup:.2}×"),
-            "n/a (impl)".into(),
-        ]);
-    } else {
-        eprintln!("[summary] results/sharded.json not found — run `--bin sharded` to fold in the sharding headline");
-    }
-    if let Some(qps) = server_qps {
-        rows.push(vec![
-            "network server saturation throughput (loadgen)".into(),
-            format!("{qps:.0} q/s"),
-            "n/a (impl)".into(),
-        ]);
-    } else {
-        eprintln!("[summary] results/loadgen.json not found — run `--bin loadgen` to fold in the server headline");
-    }
-    if let Some(speedup) = at_scale_speedup {
-        rows.push(vec![
-            "block-max top-k vs exhaustive disjunctive (at_scale)".into(),
-            format!("{speedup:.1}×"),
-            "n/a (impl)".into(),
-        ]);
-    } else {
-        eprintln!("[summary] results/at_scale.json not found — run `--bin at_scale` to fold in the top-k headline");
-    }
-    if let Some(gate) = &replicated {
-        rows.push(vec![
-            "2-replica vs unreplicated read throughput (replicated)".into(),
-            format!(
-                "{:.2}×{}",
-                gate.achieved_speedup,
-                if gate.resource_scaling_fallback {
-                    " (cores-limited)"
-                } else {
-                    ""
-                }
-            ),
-            "n/a (impl)".into(),
-        ]);
-    } else {
-        eprintln!("[summary] results/replicated.json not found — run `--bin replicated` to fold in the replication headline");
-    }
     print_table(
         "Section 6 headline comparison (measured vs paper)",
         &["quantity", "measured", "paper"],

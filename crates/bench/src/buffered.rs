@@ -24,15 +24,15 @@
 //!
 //! The insertion-I/O upside of buffering is real and measurable — the
 //! `buffering_really_is_cheaper_per_insert` test below counts the random
-//! I/Os saved, and `tks-bench`'s `buffered_vs_realtime` Criterion group
+//! I/Os saved, and the `buffered_vs_realtime` Criterion group
 //! compares CPU time (where, absent real disks, buffering's extra sort
 //! actually *loses*; its entire advantage is the amortised random I/O).
 //! This module is the honest version of the tradeoff the paper refuses.
 //!
 //! [`flush`]: BufferedIndex::flush
-//! [`SearchEngine`]: crate::engine::SearchEngine
+//! [`SearchEngine`]: tks_core::engine::SearchEngine
 
-use crate::merge::MergeAssignment;
+use tks_core::merge::MergeAssignment;
 use tks_postings::list::{ListError, ListStore};
 use tks_postings::{DocId, TermId};
 use tks_worm::StorageCache;
@@ -101,7 +101,6 @@ impl BufferedIndex {
             // has no commit points, so there is no chain to feed; its
             // whole purpose is to demonstrate the attacks that
             // discipline prevents.
-            // audit:allow(chain-append-discipline)
             self.store.append(list, t, d, tf, cache.as_deref_mut())?;
         }
         self.docs_since_flush = 0;

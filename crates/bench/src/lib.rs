@@ -1,8 +1,12 @@
 //! # `tks-bench` — experiment harness
 //!
-//! One binary per figure of the paper (`cargo run --release -p tks-bench
-//! --bin fig2`, `fig3a` … `fig3i`, `fig4`, `fig8a`, `fig8b`, `fig8c`,
-//! `summary`), plus Criterion micro-benchmarks in `benches/`.
+//! The paper lab: one binary per figure of the paper (`cargo run --release
+//! -p tks-bench --bin fig2`, `fig3a` … `fig3i`, `fig4`, `fig8a`, `fig8b`,
+//! `fig8c`, `summary`), `ablation`, the `at_scale` ranked-query campaign,
+//! Criterion micro-benchmarks in `benches/`, and the §2.3 baseline the
+//! paper rejects ([`buffered`]).  Claims about the served, sharded,
+//! replicated archive are measured by the repo benchmark in `e2e/`, not
+//! here.
 //!
 //! ## Scaling
 //!
@@ -33,6 +37,7 @@
 // the production no-panic surface is gated by clippy + `cargo xtask audit`.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+pub mod buffered;
 pub mod merging;
 
 use serde::Serialize;
@@ -75,37 +80,23 @@ impl Scale {
     /// Parse `--docs/--vocab/--terms/--queries/--qvocab/--seed/--full`
     /// from the process arguments; unknown flags abort with usage help.
     pub fn from_args() -> Self {
-        let mut s = Scale::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            let mut take = |s: &mut u64| {
-                i += 1;
-                *s = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage_and_exit(flag));
-            };
-            match flag {
-                "--docs" => take(&mut s.docs),
-                "--queries" => take(&mut s.queries),
-                "--seed" => take(&mut s.seed),
-                "--vocab" => {
-                    let mut v = s.vocab as u64;
-                    take(&mut v);
-                    s.vocab = v as u32;
-                }
-                "--terms" => {
-                    let mut v = s.terms_per_doc as u64;
-                    take(&mut v);
-                    s.terms_per_doc = v as u32;
-                }
-                "--qvocab" => {
-                    let mut v = s.query_vocab as u64;
-                    take(&mut v);
-                    s.query_vocab = v as u32;
-                }
+        Self::parse(&args).unwrap_or_else(|flag| usage_and_exit(&flag))
+    }
+
+    /// [`from_args`](Self::from_args) over an explicit argument list;
+    /// `Err` names the unknown or malformed flag (empty for `--help`).
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let mut s = Scale::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            match flag.as_str() {
+                "--docs" => s.docs = value(args.next(), flag)?,
+                "--queries" => s.queries = value(args.next(), flag)?,
+                "--seed" => s.seed = value(args.next(), flag)?,
+                "--vocab" => s.vocab = value(args.next(), flag)?,
+                "--terms" => s.terms_per_doc = value(args.next(), flag)?,
+                "--qvocab" => s.query_vocab = value(args.next(), flag)?,
                 "--full" => {
                     s = Scale {
                         docs: 1_000_000,
@@ -116,12 +107,11 @@ impl Scale {
                         seed: s.seed,
                     };
                 }
-                "--help" | "-h" => usage_and_exit(""),
-                other => usage_and_exit(other),
+                "--help" | "-h" => return Err(String::new()),
+                _ => return Err(flag.clone()),
             }
-            i += 1;
         }
-        s
+        Ok(s)
     }
 
     /// `paper_vocab / vocab`: the factor by which cache sizes are scaled
@@ -189,6 +179,12 @@ impl Scale {
     }
 }
 
+/// A flag's value, parsed at the width of the field it sets: a `--vocab`
+/// past `u32::MAX` is malformed, not a silently truncated vocabulary.
+fn value<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> Result<T, String> {
+    v.and_then(|v| v.parse().ok()).ok_or_else(|| flag.into())
+}
+
 fn usage_and_exit(flag: &str) -> ! {
     if !flag.is_empty() {
         eprintln!("unknown or malformed flag: {flag}");
@@ -232,18 +228,21 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 /// Persist an experiment result as JSON under `results/` (best-effort:
 /// failures are reported to stderr, not fatal).
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
+    if let Err(e) = try_save_json(name, value) {
+        eprintln!("[warn] could not save results/{name}.json: {e}");
+    }
+}
+
+/// [`save_json`] for a binary whose saved report is a committed baseline
+/// that CI compares: the caller must fail when it cannot be written.
+pub fn try_save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<()> {
     let dir = std::path::Path::new("results");
     let path = dir.join(format!("{name}.json"));
-    let run = || -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut f = std::fs::File::create(&path)?;
-        let body = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
-        f.write_all(body.as_bytes())
-    };
-    match run() {
-        Ok(()) => eprintln!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[warn] could not save {}: {e}", path.display()),
-    }
+    std::fs::create_dir_all(dir)?;
+    let body = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
+    std::fs::File::create(&path)?.write_all(body.as_bytes())?;
+    eprintln!("[saved {}]", path.display());
+    Ok(())
 }
 
 /// Pretty byte counts for axis labels.
@@ -272,6 +271,20 @@ mod tests {
         assert!((s.vocab_ratio() - 10.0).abs() < 1e-9);
         assert_eq!(s.scaled_cache(100 << 20), 10 << 20);
         assert_eq!(s.scaled_cache(1), 1, "never scales to zero");
+    }
+
+    #[test]
+    fn narrow_flags_reject_values_past_u32() {
+        let parse =
+            |args: &[&str]| Scale::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+        let s = parse(&["--vocab", "4096", "--docs", "4294967297"]).unwrap();
+        assert_eq!((s.vocab, s.docs), (4096, 4_294_967_297));
+        for flag in ["--vocab", "--terms", "--qvocab"] {
+            // 2^32 + 1 used to wrap to 1.
+            assert_eq!(parse(&[flag, "4294967297"]), Err(flag.to_string()));
+            assert_eq!(parse(&[flag]), Err(flag.to_string()), "missing value");
+        }
+        assert_eq!(parse(&["--bogus"]), Err("--bogus".to_string()));
     }
 
     #[test]

@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod buffered;
 pub mod cost;
 pub mod engine;
 pub mod epoch;

@@ -264,66 +264,6 @@ impl Searcher {
         Ok(response)
     }
 
-    /// Execute many queries across `threads` OS threads, preserving input
-    /// order in the output.  Queries are dealt round-robin; every thread
-    /// shares this searcher's snapshot semantics (a pinned handle pins
-    /// all of them).
-    pub fn execute_many(
-        &self,
-        queries: Vec<Query>,
-        threads: usize,
-    ) -> Vec<Result<QueryResponse, SearchError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = threads.max(1).min(queries.len());
-        let indexed: Vec<(usize, Query)> = queries.into_iter().enumerate().collect();
-        let mut slots: Vec<Option<Result<QueryResponse, SearchError>>> =
-            (0..indexed.len()).map(|_| None).collect();
-        let mut panicked = false;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let work: Vec<(usize, Query)> = indexed
-                        .iter()
-                        .skip(t)
-                        .step_by(threads)
-                        .map(|(i, q)| (*i, q.clone()))
-                        .collect();
-                    scope.spawn(move || {
-                        work.into_iter()
-                            .map(|(i, q)| (i, self.execute(q)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(results) => {
-                        for (i, r) in results {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    // A panicking query thread must not take the service
-                    // down with it; its queries report the failure instead.
-                    Err(_) => panicked = true,
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.unwrap_or_else(|| {
-                    Err(SearchError::Internal(if panicked {
-                        "query thread panicked before filling its slots".into()
-                    } else {
-                        "query slot left unfilled".into()
-                    }))
-                })
-            })
-            .collect()
-    }
-
     /// A handle pinned to the snapshot visible right now: every query
     /// through it sees exactly the documents committed at this moment,
     /// regardless of later writer progress (repeatable reads).
@@ -472,32 +412,6 @@ mod tests {
         let resp = searcher.execute(Query::conjunctive("beta")).unwrap();
         assert_eq!(resp.docs(), vec![DocId(0)]);
         assert!(resp.quarantined_bytes >= err.torn_tail_bytes);
-    }
-
-    #[test]
-    fn execute_many_preserves_order() {
-        let (mut writer, searcher) = small_service();
-        writer.commit("alpha beta", Timestamp(1)).unwrap();
-        writer.commit("beta gamma", Timestamp(2)).unwrap();
-        let queries = vec![
-            Query::disjunctive("alpha", 10),
-            Query::disjunctive("beta", 10),
-            Query::conjunctive("beta gamma"),
-            Query::time_range(Timestamp(0), Timestamp(1)),
-            Query::disjunctive("gamma", 10),
-        ];
-        let sequential: Vec<Vec<DocId>> = queries
-            .iter()
-            .map(|q| searcher.execute(q.clone()).unwrap().docs())
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            let parallel: Vec<Vec<DocId>> = searcher
-                .execute_many(queries.clone(), threads)
-                .into_iter()
-                .map(|r| r.unwrap().docs())
-                .collect();
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use tks_client::{Client, ClientError};
+use tks_client::{Client, ClientError, ErrorDisposition};
 use tks_core::{EngineConfig, Query};
 use tks_postings::Timestamp;
 use tks_server::server::{ArchiveServer, ServerConfig, ServerHandle};
@@ -185,7 +185,9 @@ fn slow_query_returns_typed_deadline_error_not_a_hung_connection() {
         elapsed < Duration::from_millis(400),
         "deadline reply must not wait for the slow query ({elapsed:?})"
     );
-    // The connection survives: the next query (generous deadline) works.
+    // A missed deadline is transient pushback: the client's taxonomy says
+    // retry on this connection, and the retry (generous deadline) works.
+    assert_eq!(err.disposition(), ErrorDisposition::RetryAfterBackoff);
     let ok = client
         .query_with_deadline(disjunctive("alpha"), 5_000)
         .expect("post-deadline query");

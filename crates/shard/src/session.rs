@@ -61,14 +61,6 @@ impl QuerySession {
         self.pinned.execute(query)
     }
 
-    /// Execute a batch against the same pinned snapshot, preserving
-    /// order.  Each query still scatter-gathers across shards in
-    /// parallel internally; per-query failures are reported in place so
-    /// one degraded term cannot hide the rest of the batch.
-    pub fn execute_many(&self, queries: Vec<Query>) -> Vec<Result<ShardedResponse, ShardError>> {
-        queries.into_iter().map(|q| self.execute(q)).collect()
-    }
-
     /// Re-pin at the live searcher's current commit frontier.
     ///
     /// Returns the new watermark vector.  Queries issued after a
@@ -143,23 +135,6 @@ mod tests {
         assert_eq!(marks.iter().sum::<u64>(), 12);
         let after = session.execute(query("alpha")).expect("query");
         assert_eq!(after.hits.len(), 12);
-    }
-
-    #[test]
-    fn execute_many_preserves_order_on_one_snapshot() {
-        let (mut writer, searcher) = ShardedArchive::create(EngineConfig::default(), 3)
-            .expect("create")
-            .into_service();
-        writer.commit("red green", Timestamp(1)).expect("commit");
-        writer.commit("green blue", Timestamp(2)).expect("commit");
-        let session = QuerySession::open(&searcher);
-        let out = session.execute_many(vec![query("red"), query("green"), query("blue")]);
-        assert_eq!(out.len(), 3);
-        let counts: Vec<usize> = out
-            .into_iter()
-            .map(|r| r.expect("query").hits.len())
-            .collect();
-        assert_eq!(counts, vec![1, 2, 1]);
     }
 
     #[test]

@@ -117,8 +117,8 @@ fn pinned_snapshot_is_stable_under_concurrent_writes() {
     assert_eq!(live.hits.len(), 60);
 }
 
-/// `execute_many` answers a mixed batch across 1/2/4/8 threads with
-/// results identical to the sequential order.
+/// The five query shapes, answered concurrently from 1/2/4/8 threads each
+/// holding its own `Searcher` clone, equal the sequential answers.
 #[test]
 fn multi_query_driver_matches_sequential_across_thread_counts() {
     let (mut writer, searcher) = service(
@@ -154,12 +154,18 @@ fn multi_query_driver_matches_sequential_across_thread_counts() {
         .collect();
     assert!(sequential.iter().any(|d| !d.is_empty()));
     for threads in [1usize, 2, 4, 8] {
-        let parallel: Vec<_> = searcher
-            .execute_many(queries.clone(), threads)
-            .into_iter()
-            .map(|r| r.unwrap().docs())
-            .collect();
-        assert_eq!(parallel, sequential, "threads = {threads}");
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let (searcher, queries, sequential) = (searcher.clone(), &queries, &sequential);
+                scope.spawn(move || {
+                    let answers: Vec<_> = queries
+                        .iter()
+                        .map(|q| searcher.execute(q.clone()).unwrap().docs())
+                        .collect();
+                    assert_eq!(&answers, sequential, "threads = {threads}");
+                });
+            }
+        });
     }
 }
 

@@ -15,7 +15,7 @@ use trustworthy_search::corpus::{
     CorpusConfig, DocumentGenerator, QueryConfig, QueryGenerator, QueryTermStats, TermStats,
 };
 use trustworthy_search::jump::{space_overhead, JumpConfig};
-use trustworthy_search::postings::TermId;
+use trustworthy_search::postings::{DocId, ListId, TermId};
 
 fn corpus(docs: u64) -> DocumentGenerator {
     DocumentGenerator::new(CorpusConfig {
@@ -191,6 +191,61 @@ fn fig8c_shape_speedup_grows_with_keywords() {
         "speedup must grow with keywords: 2kw {s2:.2} vs 7kw {s7:.2}"
     );
     assert!(s7 > 1.2, "7-keyword queries must benefit, got {s7:.2}");
+}
+
+/// Without a jump index `conjunctive_terms` streams its scan-merge join
+/// one decoded block at a time.  That is an I/O batching choice only: the
+/// answer must equal a join over each term's fully materialised doc
+/// vector, and the Figure 8(c) charge must stay every block of every
+/// distinct merged list the query touches.
+#[test]
+fn streaming_scan_merge_equals_materialized_join_and_its_block_charge() {
+    let gen = corpus(2_000);
+    let qgen = QueryGenerator::new(QueryConfig {
+        num_queries: 2_000,
+        query_vocab: 600,
+        ..Default::default()
+    });
+    let engine = build_engine(
+        &gen,
+        2_000,
+        EngineConfig {
+            assignment: MergeAssignment::uniform(24),
+            jump: None,
+            block_size: 2048,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let store = engine.list_store();
+    for l in 0..24 {
+        assert!(store.num_blocks(ListId(l)).unwrap() > 1, "list {l}");
+    }
+    let queries: Vec<Vec<TermId>> = qgen
+        .queries(0..2_000)
+        .filter(|q| q.terms.len() >= 2)
+        .take(250)
+        .map(|q| q.terms)
+        .collect();
+    assert!(queries.len() >= 200, "only {} queries", queries.len());
+    let mut matches = 0;
+    let docs_of = |t: TermId| -> Vec<DocId> {
+        let list = engine.config().assignment.list_of(t);
+        let postings = store.postings_for_term(list, t).unwrap();
+        postings.map(|p| p.doc).collect()
+    };
+    for q in &queries {
+        let mut reference = docs_of(q[0]);
+        for &t in &q[1..] {
+            let docs = docs_of(t);
+            reference.retain(|d| docs.binary_search(d).is_ok());
+        }
+        let (docs, blocks) = engine.conjunctive_terms(q).unwrap();
+        assert_eq!(docs, reference, "query {q:?}");
+        assert_eq!(blocks, scan_merge_blocks(&engine, q), "query {q:?}");
+        matches += docs.len();
+    }
+    assert!(matches > 0, "the log must contain co-occurring terms");
 }
 
 #[test]
