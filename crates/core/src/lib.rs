@@ -50,4 +50,4 @@ pub use error::TksError;
 pub use merge::MergeAssignment;
 pub use query::{Query, QueryResponse, TermSelector, TimeRange};
 pub use ranking::RankingModel;
-pub use service::{service, BatchError, IndexWriter, Searcher};
+pub use service::{service, IndexWriter, Searcher};

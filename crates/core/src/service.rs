@@ -12,7 +12,7 @@
 //!   active writer.
 //!
 //! Consistency model: the writer publishes a **document-count watermark**
-//! after each commit (or batch).  A searcher executes against the
+//! after each commit.  A searcher executes against the
 //! watermark it observes at call time, so a query sees a stable prefix of
 //! the commit sequence — never a half-committed document, even though the
 //! writer may be appending concurrently.  [`Searcher::pin`] freezes the
@@ -96,55 +96,6 @@ impl IndexWriter {
         self.commit_with(|engine| engine.add_document_terms(terms, ts, raw_text))
     }
 
-    /// Commit a batch of text documents under a single engine lock
-    /// acquisition, publishing the watermark once at the end.  Readers
-    /// see either none or all of the batch.
-    ///
-    /// On error the documents committed before the failing one remain
-    /// committed (WORM writes cannot be undone) and *are* published, so
-    /// no committed document is ever hidden; the error reports how far
-    /// the batch got and how many bytes of torn-commit residue the
-    /// failing document left on the devices.  The published watermark
-    /// covers whole documents only — the failed document's partial
-    /// writes sit behind the commit point and are never visible.
-    pub fn commit_batch<'a, I>(&mut self, docs: I) -> Result<Vec<DocId>, BatchError>
-    where
-        I: IntoIterator<Item = (&'a str, Timestamp)>,
-    {
-        let mut engine = self
-            .shared
-            .engine
-            .write()
-            .unwrap_or_else(|p| p.into_inner());
-        let quarantined_before = engine.quarantined_bytes();
-        let mut committed = Vec::new();
-        let mut failure = None;
-        for (text, ts) in docs {
-            match engine.add_document(text, ts) {
-                Ok(doc) => committed.push(doc),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        // num_docs() counts only documents whose DOCMETA record — the
-        // commit point — is durably whole, so this watermark can never
-        // expose a torn document.
-        let visible = engine.num_docs();
-        let torn_tail_bytes = engine.quarantined_bytes() - quarantined_before;
-        drop(engine);
-        self.shared.watermark.store(visible, Ordering::Release);
-        match failure {
-            None => Ok(committed),
-            Some(error) => Err(BatchError {
-                committed,
-                torn_tail_bytes,
-                error,
-            }),
-        }
-    }
-
     /// Run one exclusive operation against the engine and publish the new
     /// watermark afterwards.
     fn commit_with<R>(
@@ -211,34 +162,6 @@ impl IndexWriter {
         }
     }
 }
-
-/// A batch commit that failed part-way (see [`IndexWriter::commit_batch`]).
-#[derive(Debug)]
-pub struct BatchError {
-    /// Documents that did commit (and are published) before the failure.
-    pub committed: Vec<DocId>,
-    /// Bytes the failing document wrote to WORM before the error: dead
-    /// weight quarantined behind the commit point (WORM cannot be
-    /// truncated).  Zero when the failure preceded the first append,
-    /// e.g. a validation error.
-    pub torn_tail_bytes: u64,
-    /// Why the batch stopped.
-    pub error: SearchError,
-}
-
-impl std::fmt::Display for BatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batch stopped after {} documents ({} torn-tail byte(s) quarantined): {}",
-            self.committed.len(),
-            self.torn_tail_bytes,
-            self.error
-        )
-    }
-}
-
-impl std::error::Error for BatchError {}
 
 /// A shareable, `Send + Sync` read handle (see module docs).
 ///
@@ -361,57 +284,6 @@ mod tests {
         // A fresh pin of the live handle sees everything again.
         assert_eq!(pinned.pin().visible_docs(), 1);
         assert_eq!(searcher.pin().visible_docs(), 2);
-    }
-
-    #[test]
-    fn commit_batch_publishes_once_and_reports_partial_failure() {
-        let (mut writer, searcher) = small_service();
-        let docs = writer
-            .commit_batch([("a b", Timestamp(1)), ("b c", Timestamp(2))])
-            .unwrap();
-        assert_eq!(docs.len(), 2);
-        assert_eq!(searcher.visible_docs(), 2);
-
-        // Second batch fails on a non-monotonic timestamp after one
-        // success: the successful prefix stays visible.
-        let err = writer
-            .commit_batch([("d", Timestamp(3)), ("e", Timestamp(0))])
-            .unwrap_err();
-        assert_eq!(err.committed.len(), 1);
-        assert!(matches!(
-            err.error,
-            SearchError::NonMonotonicTimestamp { .. }
-        ));
-        // A validation failure happens before any WORM append.
-        assert_eq!(err.torn_tail_bytes, 0);
-        assert_eq!(searcher.visible_docs(), 3);
-    }
-
-    #[test]
-    fn commit_batch_reports_torn_tail_and_never_publishes_partial_doc() {
-        let (mut writer, searcher) = small_service();
-        writer.commit("alpha beta", Timestamp(1)).unwrap();
-        // Kill the posting-store device partway through the next commit.
-        writer.with_engine(|e| {
-            let offset = e.list_store().fs().device().bytes_committed() + 5;
-            e.list_store_mut()
-                .fs_mut()
-                .arm_faults(tks_worm::FaultPolicy::torn_at_offset(offset));
-        });
-        let err = writer
-            .commit_batch([("beta gamma", Timestamp(2)), ("gamma delta", Timestamp(3))])
-            .unwrap_err();
-        assert!(err.committed.is_empty());
-        assert!(
-            err.torn_tail_bytes > 0,
-            "a mid-append failure must report its WORM residue: {err}"
-        );
-        // The watermark covers whole documents only; the torn document
-        // is invisible but its residue shows in trust metadata.
-        assert_eq!(searcher.visible_docs(), 1);
-        let resp = searcher.execute(Query::conjunctive("beta")).unwrap();
-        assert_eq!(resp.docs(), vec![DocId(0)]);
-        assert!(resp.quarantined_bytes >= err.torn_tail_bytes);
     }
 
     #[test]

@@ -6,25 +6,19 @@
 //! block.  This module makes the block the unit of work on the read path:
 //!
 //! * [`DecodedBlockCache`] — a small LRU of already-decoded blocks keyed by
-//!   `(list, block_no)`, sitting *above* the WORM storage cache.  Entries
-//!   are validated against the list's current posting count, so a tail
-//!   block that grew since it was cached (the only way committed WORM data
-//!   can change) is re-decoded transparently: append-watermark
-//!   invalidation without any writer → reader signalling.
+//!   `(list, block_no)`, sitting *above* the WORM storage cache: the
+//!   [`BlockLru`] instantiated at `Arc<[Posting]>`, so a tail block that
+//!   grew since it was cached (the only way committed WORM data can
+//!   change) is re-decoded transparently.
 //! * [`BlockReader`] — streams a list one decoded block at a time as cheap
 //!   `Arc<[Posting]>` slices, for callers that want slice-based iteration
 //!   instead of a posting-at-a-time iterator.
-//!
-//! Full (non-tail) blocks of a WORM list are immutable forever, which is
-//! what makes the cache trivially coherent: an entry can only ever be
-//! *stale-short* (decoded before the tail grew), never wrong.
 
+use crate::block_lru::{BlockLru, BlockLruStats, PostingCount};
 use crate::codec::Posting;
 use crate::list::{ListError, ListStore};
 use crate::types::ListId;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use tks_worm::LruCore;
+use std::sync::Arc;
 
 /// Default capacity of the decoded-block LRU, in blocks.
 ///
@@ -34,114 +28,16 @@ use tks_worm::LruCore;
 /// storage caches the paper budgets below it.
 pub const DEFAULT_DECODED_BLOCKS: usize = 256;
 
-/// Cache key: `(physical list, file-relative block number)`.
-type Key = (u32, u64);
-
-/// Counters describing decoded-block cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodedCacheStats {
-    /// Lookups served from an already-decoded block.
-    pub hits: u64,
-    /// Lookups that had to decode a block.
-    pub misses: u64,
-    /// Entries discarded because the list grew past them (tail blocks
-    /// decoded before later appends).
-    pub invalidations: u64,
-    /// Blocks currently resident.
-    pub resident: usize,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    lru: LruCore<Key>,
-    map: HashMap<Key, Arc<[Posting]>>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-}
+/// Counters describing decoded-block cache behaviour: a hit is a block
+/// decode avoided.
+pub type DecodedCacheStats = BlockLruStats;
 
 /// A shared LRU of decoded posting blocks (see the [module docs](self)).
-///
-/// All methods take `&self`; the cache is safe to share across the reader
-/// snapshots of a concurrent query service.
-#[derive(Debug)]
-pub struct DecodedBlockCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-}
+pub type DecodedBlockCache = BlockLru<Arc<[Posting]>>;
 
-impl DecodedBlockCache {
-    /// An empty cache holding at most `capacity` decoded blocks
-    /// (`0` disables caching entirely: every lookup decodes).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Inner::default()),
-            capacity,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned lock only means another reader panicked mid-lookup;
-        // the map itself is always structurally valid, so recover it.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The cached decode of `(list, block_no)` if present *and* still
-    /// `expected_len` postings long.  A shorter entry was decoded before
-    /// the list's tail grew into this block; it is dropped and counted as
-    /// an invalidation so the caller re-decodes.
-    pub fn get(&self, list: ListId, block_no: u64, expected_len: usize) -> Option<Arc<[Posting]>> {
-        let key = (list.0, block_no);
-        let mut inner = self.lock();
-        match inner.map.get(&key) {
-            Some(entry) if entry.len() == expected_len => {
-                let entry = Arc::clone(entry);
-                inner.lru.touch(&key);
-                inner.hits += 1;
-                Some(entry)
-            }
-            Some(_) => {
-                inner.map.remove(&key);
-                inner.lru.remove(&key);
-                inner.invalidations += 1;
-                inner.misses += 1;
-                None
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert a freshly decoded block, evicting the least recently used
-    /// entry at capacity.  Duplicate inserts (two readers racing on the
-    /// same miss) are harmless: last write wins and both decodes are
-    /// identical.
-    pub fn insert(&self, list: ListId, block_no: u64, postings: Arc<[Posting]>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let key = (list.0, block_no);
-        let mut inner = self.lock();
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(victim) = inner.lru.pop_lru() {
-                inner.map.remove(&victim);
-            }
-        }
-        inner.map.insert(key, postings);
-        inner.lru.insert(key);
-    }
-
-    /// Snapshot of the cache counters.
-    pub fn stats(&self) -> DecodedCacheStats {
-        let inner = self.lock();
-        DecodedCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            invalidations: inner.invalidations,
-            resident: inner.map.len(),
-        }
+impl PostingCount for Arc<[Posting]> {
+    fn posting_count(&self) -> usize {
+        self.len()
     }
 }
 

@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod block_lru;
 pub mod block_reader;
 pub mod codec;
 pub mod list;

@@ -15,10 +15,9 @@
 //!   range, enabling visibility-watermark skips and accumulator-overlap
 //!   checks.
 //! * [`BlockSummaryCache`] — a shared LRU keyed by `(list, block_no)`,
-//!   validated by posting count exactly like the decoded-block cache: a
-//!   summary of a tail block that has since grown is *stale-short*, never
-//!   wrong, and is dropped on lookup (append-watermark invalidation with
-//!   no writer → reader signalling).
+//!   validated by posting count exactly like the decoded-block cache (it
+//!   is the same [`BlockLru`]): a summary of a tail block that has since
+//!   grown is *stale-short*, never wrong, and is dropped on lookup.
 //!
 //! Summaries are computed **once, at decode time** — the store summarises
 //! each block as a by-product of decoding it (`ListStore::decoded_block`)
@@ -28,11 +27,11 @@
 //! summarises it for every later query.  Full (non-tail) WORM blocks are
 //! immutable, so their summaries stay valid forever.
 
+use crate::block_lru::{BlockLru, BlockLruStats, PostingCount};
 use crate::codec::Posting;
-use crate::types::{DocId, ListId};
-use std::collections::HashMap;
-use std::sync::Mutex;
-use tks_worm::LruCore;
+use crate::types::DocId;
+#[cfg(test)]
+use crate::types::ListId;
 
 /// Default capacity of the block-summary LRU, in blocks.
 ///
@@ -40,9 +39,6 @@ use tks_worm::LruCore;
 /// (1M documents × 500 postings at 8 KB blocks ≈ 500 Ki blocks) in a few
 /// tens of MB — the whole point is that skip decisions never do I/O.
 pub const DEFAULT_BLOCK_SUMMARIES: usize = 1 << 20;
-
-/// Cache key: `(physical list, file-relative block number)`.
-type Key = (u32, u64);
 
 /// Decode-time metadata of one posting block (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,113 +72,18 @@ impl BlockSummary {
     }
 }
 
-/// Counters describing block-summary cache behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SummaryCacheStats {
-    /// Lookups served from a resident, still-valid summary.
-    pub hits: u64,
-    /// Lookups that found no usable summary (the caller must scan the
-    /// block — and thereby summarise it).
-    pub misses: u64,
-    /// Entries dropped because the list grew past them (tail blocks
-    /// summarised before later appends).
-    pub invalidations: u64,
-    /// Summaries currently resident.
-    pub resident: usize,
+impl PostingCount for BlockSummary {
+    fn posting_count(&self) -> usize {
+        self.len as usize
+    }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    lru: LruCore<Key>,
-    map: HashMap<Key, BlockSummary>,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-}
+/// Counters describing block-summary cache behaviour: a miss means the
+/// caller must scan the block (and thereby summarise it).
+pub type SummaryCacheStats = BlockLruStats;
 
 /// A shared LRU of per-block summaries (see the [module docs](self)).
-///
-/// All methods take `&self`; the cache is safe to share across the reader
-/// snapshots of a concurrent query service, exactly like
-/// [`DecodedBlockCache`](crate::DecodedBlockCache).
-#[derive(Debug)]
-pub struct BlockSummaryCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-}
-
-impl BlockSummaryCache {
-    /// An empty cache holding at most `capacity` summaries (`0` disables
-    /// summarisation entirely: every lookup misses, every block scans).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            inner: Mutex::new(Inner::default()),
-            capacity,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A poisoned lock only means another reader panicked mid-lookup;
-        // the map itself is always structurally valid, so recover it.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// The summary of `(list, block_no)` if present *and* still covering
-    /// exactly `expected_len` postings.  A shorter entry was computed
-    /// before the list's tail grew into this block; it is dropped and
-    /// counted as an invalidation so the caller re-scans (and re-inserts).
-    pub fn get(&self, list: ListId, block_no: u64, expected_len: usize) -> Option<BlockSummary> {
-        let key = (list.0, block_no);
-        let mut inner = self.lock();
-        match inner.map.get(&key) {
-            Some(&entry) if entry.len as usize == expected_len => {
-                inner.lru.touch(&key);
-                inner.hits += 1;
-                Some(entry)
-            }
-            Some(_) => {
-                inner.map.remove(&key);
-                inner.lru.remove(&key);
-                inner.invalidations += 1;
-                inner.misses += 1;
-                None
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert a freshly computed summary, evicting the least recently
-    /// used entry at capacity.  Duplicate inserts (two readers racing on
-    /// the same block) are harmless: both summaries are identical.
-    pub fn insert(&self, list: ListId, block_no: u64, summary: BlockSummary) {
-        if self.capacity == 0 {
-            return;
-        }
-        let key = (list.0, block_no);
-        let mut inner = self.lock();
-        if !inner.map.contains_key(&key) && inner.map.len() >= self.capacity {
-            if let Some(victim) = inner.lru.pop_lru() {
-                inner.map.remove(&victim);
-            }
-        }
-        inner.map.insert(key, summary);
-        inner.lru.insert(key);
-    }
-
-    /// Snapshot of the cache counters.
-    pub fn stats(&self) -> SummaryCacheStats {
-        let inner = self.lock();
-        SummaryCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            invalidations: inner.invalidations,
-            resident: inner.map.len(),
-        }
-    }
-}
+pub type BlockSummaryCache = BlockLru<BlockSummary>;
 
 impl Default for BlockSummaryCache {
     fn default() -> Self {

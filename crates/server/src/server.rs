@@ -7,8 +7,13 @@
 //! * one thread per connection reads frames, owns the connection's
 //!   [`QuerySession`], and writes responses (so responses never
 //!   interleave);
-//! * a fixed pool of **executor** threads runs the actual queries.  The
-//!   pool's in-flight counter (queued + executing) is bounded by
+//! * a fixed pool of **executor** threads runs the actual queries, one
+//!   shard of one query per job: the connection thread submits a job for
+//!   every healthy shard and merges the per-shard answers itself
+//!   ([`ShardedSearcher::gather`](tks_shard::ShardedSearcher::gather)),
+//!   so an answer crosses two thread hops whatever the shard count.
+//!   These are the only threads the product starts.  The number of
+//!   in-flight queries (any shard job queued or executing) is bounded by
 //!   [`ServerConfig::queue_depth`]; when the bound is hit, new queries
 //!   are refused immediately with a typed
 //!   [`Overloaded`](WireErrorCode::Overloaded) error instead of
@@ -17,11 +22,11 @@
 //! ## Deadlines
 //!
 //! Every query carries a deadline (the request's `deadline_ms` or the
-//! server default).  The connection thread waits for the executor only
-//! up to that deadline (plus a small grace for the reply hop) and then
-//! answers with [`DeadlineExceeded`](WireErrorCode::DeadlineExceeded) —
-//! a slow shard turns into a typed error, never a hung connection.  An
-//! executor that picks a job up *after* its deadline already passed
+//! server default).  The connection thread waits for the shard answers
+//! only up to that deadline (plus a small grace for the reply hop) and
+//! then answers with [`DeadlineExceeded`](WireErrorCode::DeadlineExceeded)
+//! — a slow shard turns into a typed error, never a hung connection.  An
+//! executor that picks a shard job up *after* its deadline already passed
 //! sheds it without touching the engine.
 //!
 //! ## Shutdown
@@ -39,8 +44,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use tks_core::Query;
-use tks_shard::{QuerySession, ShardedResponse, ShardedSearcher};
+use tks_core::{Query, QueryResponse, SearchError, Searcher};
+use tks_shard::{QuerySession, ShardedSearcher};
 
 use crate::error::ServerError;
 use crate::wire::{
@@ -72,7 +77,7 @@ pub struct ServerConfig {
     /// Deadline applied to queries that do not carry their own.
     pub default_deadline_ms: u64,
     /// Test/bench hook: sleep this long in the executor before running
-    /// each query, simulating a slow shard.  Zero in production.
+    /// each shard job, simulating a slow shard.  Zero in production.
     pub inject_delay_ms: u64,
 }
 
@@ -99,11 +104,29 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Executor pool
 // ---------------------------------------------------------------------------
 
+/// One shard's answer to one query, as [`ShardedSearcher::gather`]
+/// takes it.
+type ShardAnswer = (u32, Result<QueryResponse, SearchError>);
+
+/// One admitted query's place under the in-flight bound.  Its shard jobs
+/// share it, so the place frees when the last of them is done — however
+/// early the connection thread stopped waiting.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// One shard of one query.
 struct Job {
+    shard: u32,
     query: Query,
-    pinned: ShardedSearcher,
+    searcher: Searcher,
     deadline: Instant,
-    reply: mpsc::Sender<Result<ShardedResponse, WireError>>,
+    reply: mpsc::Sender<Result<ShardAnswer, WireError>>,
+    slot: Arc<Slot>,
 }
 
 struct ExecPool {
@@ -113,52 +136,52 @@ struct ExecPool {
     depth: usize,
 }
 
+fn shutting_down() -> WireError {
+    WireError::new(WireErrorCode::ShuttingDown, "server is draining")
+}
+
 impl ExecPool {
     fn start(workers: usize, depth: usize, delay: Duration) -> Result<ExecPool, ServerError> {
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
-        let in_flight = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for i in 0..workers.max(1) {
             let rx = Arc::clone(&rx);
-            let in_flight = Arc::clone(&in_flight);
             let h = thread::Builder::new()
                 .name(format!("tks-exec-{i}"))
-                .spawn(move || worker_loop(&rx, &in_flight, delay))
+                .spawn(move || worker_loop(&rx, delay))
                 .map_err(ServerError::Io)?;
             handles.push(h);
         }
         Ok(ExecPool {
             tx: Mutex::new(Some(tx)),
             workers: Mutex::new(handles),
-            in_flight,
+            in_flight: Arc::new(AtomicUsize::new(0)),
             depth: depth.max(1),
         })
     }
 
-    /// Admit a job if the in-flight bound allows; otherwise shed it.
-    fn try_submit(&self, job: Job) -> Result<(), WireError> {
-        let admitted = self
-            .in_flight
+    /// Admit one query if the in-flight bound allows; otherwise shed it.
+    fn admit(&self) -> Result<Arc<Slot>, WireError> {
+        self.in_flight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
                 (n < self.depth).then_some(n + 1)
-            });
-        if admitted.is_err() {
-            return Err(WireError::new(
-                WireErrorCode::Overloaded,
-                format!("in-flight query queue is full ({} queries)", self.depth),
-            ));
-        }
-        let sent = match &*lock(&self.tx) {
-            Some(tx) => tx.send(job).is_ok(),
-            None => false,
-        };
-        if !sent {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            return Err(WireError::new(
-                WireErrorCode::ShuttingDown,
-                "server is draining",
-            ));
+            })
+            .map(|_| Arc::new(Slot(Arc::clone(&self.in_flight))))
+            .map_err(|_| {
+                WireError::new(
+                    WireErrorCode::Overloaded,
+                    format!("in-flight query queue is full ({} queries)", self.depth),
+                )
+            })
+    }
+
+    /// Queue an admitted query's shard jobs.
+    fn submit(&self, jobs: impl Iterator<Item = Job>) -> Result<(), WireError> {
+        let guard = lock(&self.tx);
+        let tx = guard.as_ref().ok_or_else(shutting_down)?;
+        for job in jobs {
+            tx.send(job).map_err(|_| shutting_down())?;
         }
         Ok(())
     }
@@ -173,7 +196,7 @@ impl ExecPool {
     }
 }
 
-fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, in_flight: &AtomicUsize, delay: Duration) {
+fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, delay: Duration) {
     loop {
         // Hold the lock only while dequeueing, not while executing.
         let job = {
@@ -193,17 +216,16 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<Job>>, in_flight: &AtomicUsize, delay: 
             if !delay.is_zero() {
                 thread::sleep(delay);
             }
-            job.pinned
-                .execute(job.query)
-                .map_err(|e| WireError::from(&e))
+            Ok((job.shard, job.searcher.execute(job.query)))
         };
-        // Release the shard handles before the reply: a caller that has
-        // its answer may tear the writer down (`try_into_engines`).
-        drop(job.pinned);
+        // Release the shard handle and the query's slot before the
+        // reply: a caller that has its answer may tear the writer down
+        // (`try_into_engines`) or send its next query.
+        drop(job.searcher);
+        drop(job.slot);
         // The connection may have given up (deadline) — a dead reply
         // channel is fine.
         let _ = job.reply.send(result);
-        in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -366,6 +388,9 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
     // A short read timeout turns the blocking read loop into a poll
     // loop, so the connection notices a shutdown even while idle.
     let _ = stream.set_read_timeout(Some(wire::IDLE_POLL));
+    // And a write timeout ends a connection whose peer stopped reading,
+    // instead of pinning this thread (and a drain) in `write_all`.
+    let _ = stream.set_write_timeout(Some(wire::WRITE_STALL));
     let mut session = QuerySession::open(&shared.searcher);
     loop {
         match wire::read_request(&mut stream, shared.config.max_frame_bytes) {
@@ -437,7 +462,10 @@ fn handle_request(
             watermarks: session.refresh().to_vec(),
         },
         WireRequest::Query { query, deadline_ms } => {
-            run_query(shared, session, &query, deadline_ms)
+            match run_query(shared, session, &query, deadline_ms) {
+                Ok(resp) => WireResponse::Query(resp),
+                Err(e) => WireResponse::Error(e),
+            }
         }
     };
     wire::write_response(stream, &resp)
@@ -466,41 +494,61 @@ fn run_query(
     session: &QuerySession,
     query: &WireQuery,
     deadline_ms: Option<u64>,
-) -> WireResponse {
+) -> Result<WireQueryResponse, WireError> {
     if shared.shutdown.load(Ordering::SeqCst) {
-        return WireResponse::Error(WireError::new(
-            WireErrorCode::ShuttingDown,
-            "server is draining",
-        ));
+        return Err(shutting_down());
     }
     let budget_ms = deadline_ms
         .unwrap_or(shared.config.default_deadline_ms)
         .clamp(1, MAX_DEADLINE_MS);
-    let budget = Duration::from_millis(budget_ms);
     let now = Instant::now();
-    let deadline = now.checked_add(budget).unwrap_or(now);
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        query: query.to_query(),
-        pinned: session.searcher().clone(),
-        deadline,
-        reply: reply_tx,
-    };
-    if let Err(e) = shared.pool.try_submit(job) {
-        return WireResponse::Error(e);
+    let deadline = now
+        .checked_add(Duration::from_millis(budget_ms))
+        .unwrap_or(now);
+    let query = query.to_query();
+    let pinned = session.searcher();
+    let readers = pinned.scatter();
+    let fanout = readers.len();
+
+    let slot = shared.pool.admit()?;
+    let (reply, answers_rx) = mpsc::channel();
+    shared
+        .pool
+        .submit(readers.into_iter().map(|(shard, searcher)| Job {
+            shard,
+            query: query.clone(),
+            searcher: searcher.clone(),
+            deadline,
+            reply: reply.clone(),
+            slot: Arc::clone(&slot),
+        }))?;
+    // Only the jobs hold the slot and the reply channel from here on.
+    drop((slot, reply));
+
+    let give_up = deadline + Duration::from_millis(DEADLINE_GRACE_MS);
+    let mut answers = Vec::with_capacity(fanout);
+    while answers.len() < fanout {
+        let wait = give_up.saturating_duration_since(Instant::now());
+        match answers_rx.recv_timeout(wait) {
+            Ok(answer) => answers.push(answer?),
+            Err(RecvTimeoutError::Timeout) => {
+                return Err(WireError::new(
+                    WireErrorCode::DeadlineExceeded,
+                    format!("query exceeded its {budget_ms}ms deadline"),
+                ))
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(WireError::new(
+                    WireErrorCode::Internal,
+                    "query executor vanished before replying",
+                ))
+            }
+        }
     }
-    match reply_rx.recv_timeout(budget + Duration::from_millis(DEADLINE_GRACE_MS)) {
-        Ok(Ok(resp)) => WireResponse::Query(WireQueryResponse::from(&resp)),
-        Ok(Err(we)) => WireResponse::Error(we),
-        Err(RecvTimeoutError::Timeout) => WireResponse::Error(WireError::new(
-            WireErrorCode::DeadlineExceeded,
-            format!("query exceeded its {budget_ms}ms deadline"),
-        )),
-        Err(RecvTimeoutError::Disconnected) => WireResponse::Error(WireError::new(
-            WireErrorCode::Internal,
-            "query executor vanished before replying",
-        )),
-    }
+    pinned
+        .gather(&query, answers)
+        .map(|resp| WireQueryResponse::from(&resp))
+        .map_err(|e| WireError::from(&e))
 }
 
 #[cfg(test)]

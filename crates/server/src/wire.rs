@@ -671,6 +671,12 @@ pub fn read_response(
 /// shutdown flag (exposed so tests and the CLI agree with the server).
 pub const IDLE_POLL: Duration = Duration::from_millis(100);
 
+/// How long a server lets a response write make no progress before it
+/// gives the connection up: a peer that pipelines requests and never
+/// reads must not hold its connection thread, and with it a graceful
+/// drain, forever.
+pub const WRITE_STALL: Duration = Duration::from_secs(2);
+
 #[cfg(test)]
 mod tests {
     use super::*;

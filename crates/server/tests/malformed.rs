@@ -8,6 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use tks_client::Client;
@@ -177,4 +178,39 @@ fn undersized_frames_are_malformed() {
     }
     assert_still_serving(&handle);
     handle.shutdown();
+}
+
+/// A peer that pipelines requests and never reads a response must not
+/// pin its connection thread: once the responses back up, the server's
+/// write times out, the connection ends, and a drain still completes.
+#[test]
+fn peer_that_never_reads_cannot_hang_the_drain() {
+    let handle = serve();
+    let stream = raw_conn(&handle);
+    stream
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .expect("write timeout");
+    // The helper floods requests until its own writes stall, which
+    // leaves far more requests queued than the unread responses the
+    // socket buffers can hold (a `Status` is answered the same during a
+    // drain).  The socket comes back still open, so the server is never
+    // helped by a disconnect.
+    let (stalled_tx, stalled_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut stream = stream;
+        while wire::write_request(&mut stream, &wire::WireRequest::Status).is_ok() {}
+        let _ = stalled_tx.send(stream);
+    });
+    let _still_open = stalled_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the flood must back up");
+
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("shutdown must not wait on a peer that never reads");
 }

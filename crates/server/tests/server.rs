@@ -48,44 +48,82 @@ fn disjunctive(text: &str) -> WireQuery {
     }
 }
 
+/// The connection thread's gather over executor-run shard jobs must be
+/// the in-process `execute`, field for field, at every fan-out.
 #[test]
 fn networked_queries_match_direct_execution() {
-    let (_writer, searcher) = archive(3);
-    let handle = serve(searcher.clone(), ServerConfig::default());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    client.ping().expect("ping");
+    for shards in 1..=3u32 {
+        let (_writer, searcher) = archive(shards);
+        let handle = serve(searcher.clone(), ServerConfig::default());
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        client.ping().expect("ping");
 
-    for (wire_q, engine_q) in [
-        (disjunctive("alpha"), Query::disjunctive("alpha", 100)),
-        (
-            WireQuery::Conjunctive {
-                terms: WireTerms::Text("beta gamma".to_string()),
-                from: None,
-                to: None,
-            },
-            Query::conjunctive("beta gamma"),
-        ),
-        (
-            WireQuery::Phrase {
-                text: "delta epsilon".to_string(),
-            },
-            Query::phrase("delta epsilon"),
-        ),
-        (
-            WireQuery::TimeRange { from: 101, to: 105 },
-            Query::time_range(Timestamp(101), Timestamp(105)),
-        ),
-    ] {
-        let over_wire = client.query(wire_q).expect("networked query");
-        let direct = searcher.execute(engine_q).expect("direct query");
-        let wire_docs: Vec<u64> = over_wire.hits.iter().map(|h| h.doc).collect();
-        let direct_docs: Vec<u64> = direct.hits.iter().map(|h| h.doc.0).collect();
-        assert_eq!(wire_docs, direct_docs);
-        assert_eq!(over_wire.trusted, direct.trusted);
-        assert_eq!(over_wire.visible_docs, direct.visible_docs);
-        assert_eq!(over_wire.shards.len(), 3);
+        for (wire_q, engine_q) in [
+            (disjunctive("alpha"), Query::disjunctive("alpha", 100)),
+            (
+                WireQuery::Conjunctive {
+                    terms: WireTerms::Text("beta gamma".to_string()),
+                    from: None,
+                    to: None,
+                },
+                Query::conjunctive("beta gamma"),
+            ),
+            (
+                WireQuery::Conjunctive {
+                    terms: WireTerms::Text("alpha beta".to_string()),
+                    from: Some(101),
+                    to: Some(105),
+                },
+                Query::conjunctive_in_range("alpha beta", Timestamp(101), Timestamp(105)),
+            ),
+            (
+                WireQuery::Phrase {
+                    text: "delta epsilon".to_string(),
+                },
+                Query::phrase("delta epsilon"),
+            ),
+            (
+                WireQuery::TimeRange { from: 101, to: 105 },
+                Query::time_range(Timestamp(101), Timestamp(105)),
+            ),
+        ] {
+            let ctx = format!("{shards} shard(s), {engine_q:?}");
+            let over_wire = client.query(wire_q).expect("networked query");
+            let direct = searcher.execute(engine_q).expect("direct query");
+            let wire_hits: Vec<(u64, u64)> = over_wire
+                .hits
+                .iter()
+                .map(|h| (h.doc, h.score.to_bits()))
+                .collect();
+            let direct_hits: Vec<(u64, u64)> = direct
+                .hits
+                .iter()
+                .map(|h| (h.doc.0, h.score.to_bits()))
+                .collect();
+            assert!(!direct_hits.is_empty(), "{ctx}: vacuous shape");
+            assert_eq!(wire_hits, direct_hits, "{ctx}");
+            assert_eq!(over_wire.trusted, direct.trusted, "{ctx}");
+            assert_eq!(over_wire.visible_docs, direct.visible_docs, "{ctx}");
+            assert_eq!(over_wire.blocks_read, direct.blocks_read, "{ctx}");
+            assert_eq!(over_wire.blocks_skipped, direct.blocks_skipped, "{ctx}");
+            assert_eq!(
+                over_wire.quarantined_bytes, direct.quarantined_bytes,
+                "{ctx}"
+            );
+            assert_eq!(over_wire.shards.len(), shards as usize, "{ctx}");
+            for (got, want) in over_wire.shards.iter().zip(&direct.shards) {
+                assert_eq!(got.consulted, want.consulted, "{ctx}");
+                assert_eq!(got.visible_docs, want.visible_docs, "{ctx}");
+                assert_eq!(got.trusted, want.trusted, "{ctx}");
+                assert_eq!(
+                    got.parsed_chain_head().expect("parseable head"),
+                    want.chain_head,
+                    "{ctx}"
+                );
+            }
+        }
+        handle.shutdown();
     }
-    handle.shutdown();
 }
 
 /// The response digest verifies end-to-end over a real socket, binds
@@ -195,15 +233,19 @@ fn slow_query_returns_typed_deadline_error_not_a_hung_connection() {
     handle.shutdown();
 }
 
+/// `queue_depth` counts queries, not shard jobs: with one slot and one
+/// worker a lone 3-shard query is answered (its own jobs never shed
+/// it), a query racing it is refused at once, and the slot is free
+/// again the moment the first query's last shard job is done.
 #[test]
 fn saturated_queue_sheds_load_with_typed_overloaded() {
-    let (_writer, searcher) = archive(2);
+    let (_writer, searcher) = archive(3);
     let handle = serve(
         searcher,
         ServerConfig {
             workers: 1,
             queue_depth: 1,
-            inject_delay_ms: 300,
+            inject_delay_ms: 100,
             ..ServerConfig::default()
         },
     );
@@ -212,8 +254,10 @@ fn saturated_queue_sheds_load_with_typed_overloaded() {
     // Fill the single in-flight slot from a background connection.
     let filler = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect filler");
-        c.query_with_deadline(disjunctive("alpha"), 5_000)
-            .expect("filler query")
+        let filled = c
+            .query_with_deadline(disjunctive("alpha"), 5_000)
+            .expect("a lone query must fit in one slot");
+        (c, filled)
     });
     std::thread::sleep(Duration::from_millis(100));
 
@@ -232,9 +276,19 @@ fn saturated_queue_sheds_load_with_typed_overloaded() {
         "shedding must be immediate, not queued"
     );
 
-    // The filler's query still completes correctly.
-    let filled = filler.join().expect("filler thread");
-    assert!(!filled.hits.is_empty());
+    // The filler's query still completes correctly, on every shard.
+    let (mut filler, filled) = filler.join().expect("filler thread");
+    assert_eq!(filled.hits.len(), 5);
+    assert!(filled.shards.iter().all(|s| s.consulted));
+
+    // Its reply came after the slot was released, so neither connection
+    // can be refused now.
+    for c in [&mut filler, &mut client] {
+        let again = c
+            .query_with_deadline(disjunctive("alpha"), 5_000)
+            .expect("the slot must be free after the first reply");
+        assert_eq!(again.hits.len(), 5);
+    }
     handle.shutdown();
 }
 

@@ -125,20 +125,8 @@ impl ShardedArchive {
         parts: Vec<EngineParts>,
         config: EngineConfig,
     ) -> Result<(Self, Vec<ShardRecovery>), ShardError> {
-        Self::recover_loaded(parts.into_iter().map(Ok).collect(), config)
-    }
-
-    /// [`recover`](Self::recover) for callers that load each shard's
-    /// devices from external storage (image files, object stores): a
-    /// shard whose devices could not even be *loaded* arrives as
-    /// `Err(reason)` and is isolated as degraded immediately — an
-    /// unreadable shard is a dead shard, not a dead archive.
-    pub fn recover_loaded(
-        parts: Vec<Result<EngineParts, String>>,
-        config: EngineConfig,
-    ) -> Result<(Self, Vec<ShardRecovery>), ShardError> {
         let unreplicated = |primary| ReplicatedShardParts {
-            primary,
+            primary: Ok(primary),
             replicas: Vec::new(),
         };
         Self::recover_replicated(parts.into_iter().map(unreplicated).collect(), config)
@@ -338,7 +326,9 @@ mod tests {
         // ids can be translated into expected global ids.
         let mut globals = Vec::new();
         for &(text, ts) in CORPUS {
-            globals.push(writer.commit(text, Timestamp(ts)).unwrap());
+            let id = writer.commit(text, Timestamp(ts)).unwrap();
+            assert_eq!(shard_of(id), writer.router().route_text(text));
+            globals.push(id);
         }
         let searcher = writer.searcher();
         assert_eq!(searcher.visible_docs(), CORPUS.len() as u64);
@@ -387,32 +377,6 @@ mod tests {
             .execute(Query::disjunctive("alpha epsilon", 2))
             .unwrap();
         assert_eq!(top2.hits.len(), 2);
-    }
-
-    #[test]
-    fn batch_commit_routes_like_singles_and_keeps_input_order() {
-        let (mut singles, _) = ShardedArchive::create(config(), 4).unwrap().into_service();
-        let mut one_by_one = Vec::new();
-        for &(text, ts) in CORPUS {
-            one_by_one.push(singles.commit(text, Timestamp(ts)).unwrap());
-        }
-
-        let (mut batched, _) = ShardedArchive::create(config(), 4).unwrap().into_service();
-        let ids = batched
-            .commit_batch(CORPUS.iter().map(|&(t, ts)| (t, Timestamp(ts))))
-            .unwrap();
-        assert_eq!(ids, one_by_one, "batch routing must match single commits");
-        assert_eq!(batched.committed_docs(), CORPUS.len() as u64);
-        assert_eq!(
-            batched.watermarks(),
-            singles.watermarks(),
-            "same per-shard distribution"
-        );
-        // Ids encode their shard.
-        let router = *batched.router();
-        for (i, &(text, _)) in CORPUS.iter().enumerate() {
-            assert_eq!(shard_of(ids[i]), router.route_text(text));
-        }
     }
 
     #[test]

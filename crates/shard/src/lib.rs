@@ -11,17 +11,19 @@
 //!   shard, and a **global document-id namespace** encodes
 //!   `(shard_id, local_id)` in one [`DocId`](tks_postings::DocId) so
 //!   merged responses stay meaningful;
-//! * [`ShardedWriter`] — routes `commit`/`commit_batch` to per-shard
-//!   [`IndexWriter`](tks_core::IndexWriter)s, committing shards in
-//!   parallel with per-shard torn-tail accounting
-//!   ([`ShardedBatchError`]);
-//! * [`ShardedSearcher`] — scatter-gathers
-//!   [`Query`](tks_core::Query) execution across per-shard
-//!   [`Searcher`](tks_core::Searcher) snapshots and merges the responses:
-//!   result union in global-id order (ranked queries re-rank across
-//!   shards), summed I/O and decoded-cache statistics, `trusted` = AND
-//!   over the shards actually consulted, quarantined bytes reported per
-//!   shard and in aggregate;
+//! * [`ShardedWriter`] — routes `commit`/`commit_to`/`commit_terms_to`
+//!   to per-shard [`IndexWriter`](tks_core::IndexWriter)s, one document
+//!   at a time;
+//! * [`ShardedSearcher`] — answers a [`Query`](tks_core::Query) in two
+//!   halves: `scatter` names the per-shard
+//!   [`Searcher`](tks_core::Searcher) snapshot to consult, `gather`
+//!   merges the per-shard responses: result union in global-id order
+//!   (ranked queries re-rank across shards), summed I/O and
+//!   decoded-cache statistics, `trusted` = AND over the shards actually
+//!   consulted, quarantined bytes reported per shard and in aggregate.
+//!   `execute` is `gather` over `scatter` on the calling thread; this
+//!   crate starts no thread, and the network server runs the per-shard
+//!   executions on its own executor;
 //! * [`ShardedArchive`] — per-shard crash recovery that **isolates** a
 //!   dead or tampered shard into an explicit degraded state instead of
 //!   failing the whole archive: queries keep serving from healthy shards
@@ -47,7 +49,6 @@ pub use archive::{ReplicatedShardParts, ShardRecovery, ShardedArchive};
 pub use error::ShardError;
 pub use router::{local_of, shard_of, ShardRouter, MAX_SHARDS, SHARD_ID_SHIFT};
 pub use service::{
-    DegradedShard, ReplicaReader, ShardBatchFailure, ShardStatus, ShardedBatchError,
-    ShardedResponse, ShardedSearcher, ShardedWriter,
+    DegradedShard, ReplicaReader, ShardStatus, ShardedResponse, ShardedSearcher, ShardedWriter,
 };
 pub use session::QuerySession;

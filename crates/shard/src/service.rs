@@ -1,20 +1,24 @@
-//! The sharded reader/writer split: parallel per-shard commits and
+//! The sharded reader/writer split: routed per-shard commits and
 //! scatter-gather queries over per-shard snapshots.
 //!
 //! A [`ShardedWriter`] owns one [`IndexWriter`] per healthy shard and
-//! routes every commit through the [`ShardRouter`]; batch commits fan
-//! out across shards in parallel, and a failure on one shard never
-//! blocks or poisons the others — [`ShardedBatchError`] reports, per
-//! shard, what committed and what tore.
+//! routes every commit through the [`ShardRouter`]; a failure on one
+//! shard never blocks or poisons the others.
 //!
 //! A [`ShardedSearcher`] holds one [`Searcher`] snapshot per healthy
-//! shard.  [`execute`](ShardedSearcher::execute) scatters the query,
-//! gathers per-shard [`QueryResponse`]s, and merges them into a
-//! [`ShardedResponse`]: hits in the global id namespace (ranked queries
-//! re-rank across shards; boolean shapes stay in ascending global-id
-//! order), summed I/O, `trusted` = AND over the shards consulted, and
-//! quarantined bytes both per shard and in aggregate.  Degraded shards
-//! are never silently skipped: every response lists them.
+//! shard.  A query is answered in two halves:
+//! [`scatter`](ShardedSearcher::scatter) names the reader to consult on
+//! each healthy shard, and [`gather`](ShardedSearcher::gather) merges the
+//! per-shard [`QueryResponse`]s into a [`ShardedResponse`]: hits in the
+//! global id namespace (ranked queries re-rank across shards; boolean
+//! shapes stay in ascending global-id order), summed I/O, `trusted` = AND
+//! over the shards consulted, and quarantined bytes both per shard and in
+//! aggregate.  Degraded shards are never silently skipped: every response
+//! lists them.  This crate starts no thread:
+//! [`execute`](ShardedSearcher::execute) visits the shards one after
+//! another on the calling thread, and a caller that owns a thread pool
+//! (the network server) runs the per-shard executions between the two
+//! halves itself.
 //!
 //! Timestamps: each shard's engine requires non-decreasing commit
 //! timestamps.  Routing splits one input stream into per-shard
@@ -24,96 +28,11 @@
 use crate::error::ShardError;
 use crate::router::ShardRouter;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use tks_core::engine::SearchHit;
 use tks_core::{IndexWriter, Query, QueryResponse, SearchEngine, SearchError, Searcher};
 use tks_postings::{DecodedCacheStats, DocId, TermId, Timestamp};
 use tks_worm::{ChainHead, IoStats};
-
-/// One scatter unit: execute `query` on `searcher` (shard `sid`) and
-/// report back.
-struct ScatterTask {
-    sid: u32,
-    query: Query,
-    searcher: Searcher,
-    reply: mpsc::Sender<(u32, Result<QueryResponse, SearchError>)>,
-}
-
-/// A persistent scatter-gather worker pool, shared by every searcher of
-/// one archive (clones and pins included), so per-query fan-out costs a
-/// channel send instead of a thread spawn.
-///
-/// Sized to `min(shards, available_parallelism) - 1`: the calling
-/// thread always executes one shard itself, so on a single-core host
-/// the pool is empty and queries run sequentially with zero scatter
-/// overhead.  Workers exit when the pool (and with it the sender side)
-/// is dropped.
-struct ScatterPool {
-    tx: Option<mpsc::Sender<ScatterTask>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ScatterPool {
-    fn new(shards: usize) -> ScatterPool {
-        let parallelism = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let workers = shards.min(parallelism).saturating_sub(1);
-        let (tx, rx) = mpsc::channel::<ScatterTask>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let rx = Arc::clone(&rx);
-            let spawned = std::thread::Builder::new()
-                .name("tks-shard-scatter".to_string())
-                .spawn(move || loop {
-                    let task = {
-                        let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                        guard.recv()
-                    };
-                    let Ok(t) = task else { break };
-                    let outcome = t.searcher.execute(t.query);
-                    // Release the shard handle before the caller can see
-                    // the reply: once `execute` returns, the caller may
-                    // tear the writer down (`try_into_engines`).
-                    drop(t.searcher);
-                    let _ = t.reply.send((t.sid, outcome));
-                });
-            // A host that cannot spawn a worker simply gets a smaller
-            // pool; queries still complete on the calling thread.
-            if let Ok(h) = spawned {
-                handles.push(h);
-            }
-        }
-        ScatterPool {
-            tx: Some(tx),
-            handles,
-        }
-    }
-
-    fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Queue a task; `false` means the pool is unavailable and the
-    /// caller should execute inline.
-    fn submit(&self, task: ScatterTask) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(task).is_ok(),
-            None => false,
-        }
-    }
-}
-
-impl Drop for ScatterPool {
-    fn drop(&mut self) {
-        self.tx.take(); // closes the channel: workers drain and exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
 
 /// A verified standby replica serving reads for one shard.
 ///
@@ -165,66 +84,14 @@ pub(crate) enum WriterSlot {
 pub struct ShardedWriter {
     router: ShardRouter,
     slots: Vec<WriterSlot>,
-    pool: Arc<ScatterPool>,
     replicas: Arc<Vec<Vec<ReplicaReader>>>,
 }
 
-/// One shard's contribution to a failed batch commit.
-#[derive(Debug)]
-pub struct ShardBatchFailure {
-    /// The shard that failed.
-    pub shard: u32,
-    /// Bytes the failing document tore onto that shard's WORM devices
-    /// before the error (dead weight behind the commit point).
-    pub torn_tail_bytes: u64,
-    /// Why that shard stopped.
-    pub error: ShardError,
-}
-
-/// A sharded batch commit that failed on at least one shard.
-///
-/// Unlike the single-engine
-/// [`BatchError`](tks_core::service::BatchError), this is not fail-stop
-/// for the archive: shards are independent, so every healthy shard's
-/// slice of the batch still committed and is published.  `committed`
-/// holds the global ids that landed, in input order; `failures` holds
-/// one entry per shard that stopped, with its torn-tail accounting.
-#[derive(Debug)]
-pub struct ShardedBatchError {
-    /// Global ids of the documents that did commit, in input order.
-    pub committed: Vec<DocId>,
-    /// Per-shard failures (sorted by shard id).
-    pub failures: Vec<ShardBatchFailure>,
-}
-
-impl std::fmt::Display for ShardedBatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "sharded batch stopped on {} shard(s) after {} documents committed:",
-            self.failures.len(),
-            self.committed.len(),
-        )?;
-        for fail in &self.failures {
-            write!(
-                f,
-                " [shard {}: {} ({} torn bytes)]",
-                fail.shard, fail.error, fail.torn_tail_bytes
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for ShardedBatchError {}
-
 impl ShardedWriter {
     pub(crate) fn from_slots(router: ShardRouter, slots: Vec<WriterSlot>) -> Self {
-        let pool = Arc::new(ScatterPool::new(slots.len()));
         ShardedWriter {
             router,
             slots,
-            pool,
             replicas: Arc::new(Vec::new()),
         }
     }
@@ -312,107 +179,6 @@ impl ShardedWriter {
         router.global_id(shard, local)
     }
 
-    /// Route a batch across shards and commit the per-shard slices **in
-    /// parallel**.  On success the returned global ids are in input
-    /// order.  On failure, shards are independent: every shard that did
-    /// not fail has still committed (and published) its whole slice —
-    /// see [`ShardedBatchError`].
-    pub fn commit_batch<'a, I>(&mut self, docs: I) -> Result<Vec<DocId>, ShardedBatchError>
-    where
-        I: IntoIterator<Item = (&'a str, Timestamp)>,
-    {
-        let router = self.router;
-        let n = router.shards() as usize;
-        let mut buckets: Vec<Vec<BatchItem<'a>>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, (text, ts)) in docs.into_iter().enumerate() {
-            let s = router.route_text(text) as usize;
-            if let Some(bucket) = buckets.get_mut(s) {
-                bucket.push((i, text, ts));
-            }
-        }
-
-        // Fan out across at most `available_parallelism` scoped threads
-        // (shard slices are chunked; the calling thread takes the first
-        // chunk).  On a single core no thread is spawned at all — the
-        // slices commit sequentially with zero scatter overhead.
-        let mut work: Vec<ShardWork<'a, '_>> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .zip(buckets)
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|((sid, slot), bucket)| (sid as u32, slot, bucket))
-            .collect();
-        if work.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(work.len())
-            .max(1);
-        let chunk = work.len().div_ceil(workers);
-        let mut outcomes: Vec<ShardOutcome> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut own: Option<Vec<ShardWork<'a, '_>>> = None;
-            while !work.is_empty() {
-                let tail = work.split_off(chunk.min(work.len()));
-                let batch = std::mem::replace(&mut work, tail);
-                if own.is_none() {
-                    own = Some(batch);
-                } else {
-                    handles.push(scope.spawn(move || {
-                        batch
-                            .into_iter()
-                            .map(|(sid, slot, bucket)| commit_bucket(router, sid, slot, bucket))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-            }
-            if let Some(batch) = own {
-                outcomes.extend(
-                    batch
-                        .into_iter()
-                        .map(|(sid, slot, bucket)| commit_bucket(router, sid, slot, bucket)),
-                );
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(batch_outcomes) => outcomes.extend(batch_outcomes),
-                    Err(_) => outcomes.push((
-                        Vec::new(),
-                        Some(ShardBatchFailure {
-                            shard: u32::MAX,
-                            torn_tail_bytes: 0,
-                            error: ShardError::Internal(
-                                "a shard commit thread panicked".to_string(),
-                            ),
-                        }),
-                    )),
-                }
-            }
-        });
-
-        let mut committed: Vec<(usize, DocId)> = Vec::new();
-        let mut failures: Vec<ShardBatchFailure> = Vec::new();
-        for (ids, failure) in outcomes {
-            committed.extend(ids);
-            failures.extend(failure);
-        }
-        committed.sort_unstable_by_key(|&(i, _)| i);
-        let committed: Vec<DocId> = committed.into_iter().map(|(_, d)| d).collect();
-        if failures.is_empty() {
-            Ok(committed)
-        } else {
-            failures.sort_by_key(|f| f.shard);
-            Err(ShardedBatchError {
-                committed,
-                failures,
-            })
-        }
-    }
-
     /// Total documents committed across live shards (degraded shards'
     /// documents are unreachable and not counted).
     pub fn committed_docs(&self) -> u64 {
@@ -444,7 +210,6 @@ impl ShardedWriter {
                 })
                 .collect(),
             degraded: degraded.into(),
-            pool: Arc::clone(&self.pool),
             replicas: Arc::clone(&self.replicas),
             rr: Arc::new(AtomicUsize::new(0)),
         }
@@ -474,7 +239,6 @@ impl ShardedWriter {
             Degraded(String),
         }
         let router = self.router;
-        let pool = self.pool;
         let replicas = self.replicas;
         let mut failed = false;
         let got: Vec<Got> = self
@@ -505,7 +269,6 @@ impl ShardedWriter {
             return Err(ShardedWriter {
                 router,
                 slots,
-                pool,
                 replicas,
             });
         }
@@ -517,73 +280,6 @@ impl ShardedWriter {
             })
             .collect())
     }
-}
-
-/// One routed document in a shard's batch slice: `(input index, text,
-/// timestamp)`.
-type BatchItem<'a> = (usize, &'a str, Timestamp);
-
-/// One shard's unit of parallel batch-commit work.
-type ShardWork<'a, 'w> = (u32, &'w mut WriterSlot, Vec<BatchItem<'a>>);
-
-/// One shard's batch outcome: committed `(input index, global id)`
-/// pairs plus the shard's failure, if any.
-type ShardOutcome = (Vec<(usize, DocId)>, Option<ShardBatchFailure>);
-
-fn commit_bucket(
-    router: ShardRouter,
-    shard: u32,
-    slot: &mut WriterSlot,
-    bucket: Vec<(usize, &str, Timestamp)>,
-) -> (Vec<(usize, DocId)>, Option<ShardBatchFailure>) {
-    let writer = match slot {
-        WriterSlot::Live(w) => w,
-        WriterSlot::Degraded(reason) => {
-            return (
-                Vec::new(),
-                Some(ShardBatchFailure {
-                    shard,
-                    torn_tail_bytes: 0,
-                    error: ShardError::Degraded {
-                        shard,
-                        reason: reason.clone(),
-                    },
-                }),
-            )
-        }
-    };
-    let indices: Vec<usize> = bucket.iter().map(|&(i, _, _)| i).collect();
-    let (locals, failure) = match writer.commit_batch(bucket.iter().map(|&(_, t, ts)| (t, ts))) {
-        Ok(locals) => (locals, None),
-        Err(batch) => (
-            batch.committed,
-            Some(ShardBatchFailure {
-                shard,
-                torn_tail_bytes: batch.torn_tail_bytes,
-                error: ShardError::Engine {
-                    shard,
-                    source: batch.error,
-                },
-            }),
-        ),
-    };
-    let mut out = Vec::with_capacity(locals.len());
-    for (&i, local) in indices.iter().zip(locals) {
-        match router.global_id(shard, local) {
-            Ok(g) => out.push((i, g)),
-            Err(e) => {
-                return (
-                    out,
-                    Some(ShardBatchFailure {
-                        shard,
-                        torn_tail_bytes: 0,
-                        error: e,
-                    }),
-                )
-            }
-        }
-    }
-    (out, failure)
 }
 
 /// One shard's slice of a merged [`ShardedResponse`].
@@ -660,7 +356,6 @@ pub struct ShardedSearcher {
     router: ShardRouter,
     slots: Vec<Option<Searcher>>,
     degraded: Arc<[DegradedShard]>,
-    pool: Arc<ScatterPool>,
     /// Per-shard verified standby readers (indexed by shard id; empty
     /// for archives recovered without replicas).
     replicas: Arc<Vec<Vec<ReplicaReader>>>,
@@ -741,78 +436,59 @@ impl ShardedSearcher {
         }
     }
 
-    /// Scatter `query` across every healthy shard, gather, and merge.
+    /// Answer `query` from every healthy shard: [`gather`](Self::gather)
+    /// over [`scatter`](Self::scatter), the shards visited one after
+    /// another on the calling thread.
     ///
     /// A typed error from any consulted shard fails the whole query:
     /// mid-query tamper evidence must never be downgraded into a
     /// silently smaller result set.  If *no* shard is healthy the query
     /// fails with [`ShardError::NoHealthyShards`].
     pub fn execute(&self, query: Query) -> Result<ShardedResponse, ShardError> {
-        let n = self.slots.len();
-        let live: Vec<(usize, &Searcher)> = self
-            .slots
+        let answers = self
+            .scatter()
+            .into_iter()
+            .map(|(shard, searcher)| (shard, searcher.execute(query.clone())))
+            .collect();
+        self.gather(&query, answers)
+    }
+
+    /// The first half of a query: the reader to consult on each healthy
+    /// shard (the primary or, round-robin, a verified standby), in shard
+    /// order.  A caller with its own threads executes the query on each
+    /// reader wherever it likes and hands the answers to
+    /// [`gather`](Self::gather).
+    pub fn scatter(&self) -> Vec<(u32, &Searcher)> {
+        self.slots
             .iter()
             .enumerate()
-            .filter_map(|(sid, slot)| slot.as_ref().map(|s| (sid, self.route_read(sid, s))))
-            .collect();
-        if live.is_empty() {
-            return Err(ShardError::NoHealthyShards);
-        }
+            .filter_map(|(sid, slot)| {
+                let primary = slot.as_ref()?;
+                Some((sid as u32, self.route_read(sid, primary)))
+            })
+            .collect()
+    }
 
-        // Scatter over the archive's persistent worker pool.  On a
-        // single-core host the pool is empty and the calling thread
-        // drains every shard sequentially with zero scatter overhead; on
-        // a multi-core host the tail shards are queued to workers while
-        // the calling thread always executes the first shard itself.
-        let mut pairs: Vec<(usize, Result<QueryResponse, SearchError>)> =
-            Vec::with_capacity(live.len());
-        if self.pool.workers() == 0 || live.len() == 1 {
-            for &(sid, searcher) in &live {
-                pairs.push((sid, searcher.execute(query.clone())));
-            }
-        } else {
-            let (rtx, rrx) = mpsc::channel();
-            let mut dispatched = 0usize;
-            for &(sid, searcher) in &live[1..] {
-                let task = ScatterTask {
-                    sid: sid as u32,
-                    query: query.clone(),
-                    searcher: searcher.clone(),
-                    reply: rtx.clone(),
-                };
-                if self.pool.submit(task) {
-                    dispatched += 1;
-                } else {
-                    pairs.push((sid, searcher.execute(query.clone())));
-                }
-            }
-            let (sid0, searcher0) = live[0];
-            pairs.push((sid0, searcher0.execute(query.clone())));
-            drop(rtx); // a worker panic now surfaces as a recv error
-            for _ in 0..dispatched {
-                match rrx.recv() {
-                    Ok((sid, outcome)) => pairs.push((sid as usize, outcome)),
-                    Err(_) => {
-                        return Err(ShardError::Internal(
-                            "a shard query worker panicked".to_string(),
-                        ))
-                    }
-                }
-            }
-        }
+    /// The second half of a query: merge the per-shard `answers` to
+    /// `query` (one per reader [`scatter`](Self::scatter) named, in any
+    /// order) into one response under global ids.  When several shards
+    /// failed, the lowest shard's error is the one reported.
+    pub fn gather(
+        &self,
+        query: &Query,
+        answers: Vec<(u32, Result<QueryResponse, SearchError>)>,
+    ) -> Result<ShardedResponse, ShardError> {
+        let n = self.slots.len();
         let mut gathered: Vec<Option<Result<QueryResponse, ShardError>>> =
             (0..n).map(|_| None).collect();
-        for (sid, outcome) in pairs {
-            if let Some(cell) = gathered.get_mut(sid) {
-                *cell = Some(outcome.map_err(|source| ShardError::Engine {
-                    shard: sid as u32,
-                    source,
-                }));
+        for (shard, outcome) in answers {
+            if let Some(cell) = gathered.get_mut(shard as usize) {
+                *cell = Some(outcome.map_err(|source| ShardError::Engine { shard, source }));
             }
         }
 
-        // Gather + merge.  The merged hit vector is sized once from the
-        // gathered responses — per-shard result slices land in a single
+        // The merged hit vector is sized once from the gathered
+        // responses — per-shard result slices land in a single
         // allocation instead of regrowing the accumulator shard by shard.
         let gathered_hits: usize = gathered
             .iter()
@@ -862,6 +538,13 @@ impl ShardedSearcher {
                     });
                 }
                 Some(Err(e)) => return Err(e),
+                // A healthy shard left out of `answers` must fail the
+                // query, not pass for a degraded one.
+                None if self.shard(shard).is_some() => {
+                    return Err(ShardError::Internal(format!(
+                        "no answer gathered from healthy shard {shard}"
+                    )))
+                }
                 None => shards.push(ShardStatus {
                     shard,
                     consulted: false,
@@ -877,7 +560,7 @@ impl ShardedSearcher {
             return Err(ShardError::NoHealthyShards);
         }
 
-        match &query {
+        match query {
             Query::Disjunctive { top_k, .. } => {
                 // Re-rank across shards.  Scores are per-shard (each
                 // shard ranks against its own collection statistics);
@@ -925,7 +608,6 @@ impl ShardedSearcher {
                 .map(|slot| slot.as_ref().map(Searcher::pin))
                 .collect(),
             degraded: Arc::clone(&self.degraded),
-            pool: Arc::clone(&self.pool),
             replicas: Arc::clone(&self.replicas),
             rr: Arc::clone(&self.rr),
         }
