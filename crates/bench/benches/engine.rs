@@ -4,10 +4,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tks_bench::buffered::BufferedIndex;
+use tks_bench::sim::build_engine;
 use tks_core::engine::{EngineConfig, SearchEngine};
 use tks_core::merge::MergeAssignment;
 use tks_core::query::Query;
-use tks_core::sim::build_engine;
 use tks_corpus::{CorpusConfig, DocumentGenerator, QueryConfig, QueryGenerator};
 use tks_jump::JumpConfig;
 use tks_postings::Timestamp;

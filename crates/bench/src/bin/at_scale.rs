@@ -35,9 +35,9 @@
 use std::time::Instant;
 
 use serde::Serialize;
+use tks_bench::sim::build_engine;
 use tks_bench::{print_table, try_save_json, Scale};
 use tks_core::engine::EngineConfig;
-use tks_core::sim::build_engine;
 use tks_core::{MergeAssignment, Query};
 use tks_corpus::{DocumentGenerator, QueryGenerator};
 use tks_postings::TermId;

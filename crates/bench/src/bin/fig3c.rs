@@ -12,8 +12,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::Serialize;
+use tks_bench::cost::cumulative_workload_curve;
 use tks_bench::{print_table, save_json, Scale};
-use tks_core::cost::cumulative_workload_curve;
 use tks_corpus::{DocumentGenerator, QueryGenerator, QueryTermStats, TermStats};
 
 #[derive(Serialize)]

@@ -10,8 +10,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::Serialize;
+use tks_bench::cost::{list_lengths, query_cost, unmerged_query_cost};
 use tks_bench::{print_table, save_json, Scale};
-use tks_core::cost::{list_lengths, query_cost, unmerged_query_cost};
 use tks_core::merge::MergeAssignment;
 use tks_corpus::{DocumentGenerator, QueryGenerator, QueryTermStats, TermStats};
 

@@ -16,12 +16,12 @@
 
 use serde::Serialize;
 use std::time::Instant;
+use tks_bench::cost::{list_lengths, query_cost, unmerged_query_cost};
+use tks_bench::sim::build_engine;
 use tks_bench::{print_table, save_json, Scale};
-use tks_core::cost::{list_lengths, query_cost, unmerged_query_cost};
 use tks_core::engine::EngineConfig;
 use tks_core::merge::MergeAssignment;
 use tks_core::query::Query;
-use tks_core::sim::build_engine;
 use tks_corpus::{DocumentGenerator, QueryGenerator, TermStats};
 
 #[derive(Serialize)]

@@ -17,9 +17,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::Serialize;
+use tks_bench::sim::{insertion_ios, jump_insertion_ios};
 use tks_bench::{fmt_bytes, print_table, save_json, Scale};
 use tks_core::merge::MergeAssignment;
-use tks_core::sim::{insertion_ios, jump_insertion_ios};
 use tks_corpus::DocumentGenerator;
 use tks_jump::JumpConfig;
 

@@ -18,10 +18,10 @@
 
 use serde::Serialize;
 use std::collections::HashSet;
+use tks_bench::sim::{btree_conjunctive_cost, build_engine, build_term_btrees, scan_merge_blocks};
 use tks_bench::{print_table, save_json, Scale};
 use tks_core::engine::EngineConfig;
 use tks_core::merge::MergeAssignment;
-use tks_core::sim::{btree_conjunctive_cost, build_engine, build_term_btrees, scan_merge_blocks};
 use tks_corpus::{DocumentGenerator, QueryGenerator};
 use tks_jump::JumpConfig;
 use tks_postings::TermId;

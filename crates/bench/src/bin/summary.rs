@@ -16,13 +16,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use serde::Serialize;
-use tks_bench::{print_table, save_json, Scale};
-use tks_core::cost::{list_lengths, query_cost, unmerged_query_cost};
-use tks_core::engine::EngineConfig;
-use tks_core::merge::MergeAssignment;
-use tks_core::sim::{
+use tks_bench::cost::{list_lengths, query_cost, unmerged_query_cost};
+use tks_bench::sim::{
     btree_conjunctive_cost, build_engine, build_term_btrees, insertion_ios, scan_merge_blocks,
 };
+use tks_bench::{print_table, save_json, Scale};
+use tks_core::engine::EngineConfig;
+use tks_core::merge::MergeAssignment;
 use tks_corpus::{DocumentGenerator, QueryGenerator, TermStats};
 use tks_jump::{space_overhead, JumpConfig};
 use tks_postings::TermId;

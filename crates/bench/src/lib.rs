@@ -3,10 +3,12 @@
 //! The paper lab: one binary per figure of the paper (`cargo run --release
 //! -p tks-bench --bin fig2`, `fig3a` … `fig3i`, `fig4`, `fig8a`, `fig8b`,
 //! `fig8c`, `summary`), `ablation`, the `at_scale` ranked-query campaign,
-//! Criterion micro-benchmarks in `benches/`, and the §2.3 baseline the
-//! paper rejects ([`buffered`]).  Claims about the served, sharded,
-//! replicated archive are measured by the repo benchmark in `e2e/`, not
-//! here.
+//! Criterion micro-benchmarks in `benches/`, and the code behind them: the
+//! Eq. 1 cost model ([`cost`]), the Figure 2/4/8 drivers ([`sim`]), the
+//! §3.3 epoch learner ([`epoch`]), the §5 ranking attacks ([`rank_attack`])
+//! and the §2.3 baseline the paper rejects ([`buffered`]).  Claims about
+//! the served, sharded, replicated archive are measured by the repo
+//! benchmark in `e2e/`, not here.
 //!
 //! ## Scaling
 //!
@@ -38,7 +40,11 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod buffered;
+pub mod cost;
+pub mod epoch;
 pub mod merging;
+pub mod rank_attack;
+pub mod sim;
 
 use serde::Serialize;
 use std::io::Write as _;

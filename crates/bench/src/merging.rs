@@ -15,9 +15,9 @@
 //! Unmerged-term counts and cache sizes are scaled through the vocabulary
 //! ratio (see the crate docs).
 
+use crate::cost::{unmerged_workload_cost, workload_cost};
 use crate::{print_table, save_json, Scale};
 use serde::Serialize;
-use tks_core::cost::{unmerged_workload_cost, workload_cost};
 use tks_core::merge::MergeAssignment;
 use tks_corpus::{DocumentGenerator, QueryGenerator, QueryTermStats, TermStats};
 use tks_postings::TermId;

@@ -35,10 +35,13 @@ pub(crate) fn cmd_audit(args: &[String]) -> CliResult {
         };
         let (report, phantoms) = engine.audit_deep()?;
         println!(
-            "shard {shard}: {} list monotonicity violation(s), {} jump-index violation(s), \
+            "shard {shard}: {} list monotonicity violation(s), {} list length mismatch(es), \
+             {} jump-index violation(s), {} position lockstep violation(s), \
              {} device tamper attempt(s), commit-time index ok: {}, {} phantom posting(s)",
             report.list_violations.len(),
+            report.length_mismatches.len(),
             report.jump_violations.len(),
+            report.position_lockstep_violations.len(),
             report.device_tamper_attempts,
             report.commit_time_ok,
             phantoms.len()

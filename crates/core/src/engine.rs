@@ -1916,17 +1916,21 @@ impl SearchEngine {
         (hits, blocks)
     }
 
+    /// Every WORM device the engine writes — the one list the per-query
+    /// `trusted` check and [`audit`](Self::audit) both read (no allocation).
+    fn devices(&self) -> impl Iterator<Item = &WormDevice> {
+        [self.store.fs(), &self.doc_fs]
+            .into_iter()
+            .chain(self.positions_fs())
+            .map(WormFs::device)
+    }
+
     /// Whether every WORM device's tamper log is empty.  One of the two
     /// conjuncts behind a response's `trusted` flag (the other is a
     /// clean commit-chain recheck); public so audit tooling like
     /// `tks archive verify` can report it separately.
     pub fn tamper_logs_clean(&self) -> bool {
-        self.store.fs().device().tamper_log().is_empty()
-            && self.doc_fs.device().tamper_log().is_empty()
-            && self
-                .positions
-                .as_ref()
-                .is_none_or(|p| p.fs().device().tamper_log().is_empty())
+        self.devices().all(|d| d.tamper_log().is_empty())
     }
 
     /// Conjunctive search over term IDs, returning the matching documents
@@ -2145,8 +2149,7 @@ impl SearchEngine {
         if self.commit_times.audit().is_err() {
             report.commit_time_ok = false;
         }
-        report.device_tamper_attempts =
-            self.store.fs().device().tamper_log().len() + self.doc_fs.device().tamper_log().len();
+        report.device_tamper_attempts = self.devices().map(|d| d.tamper_log().len()).sum();
         report
     }
 }
@@ -2517,6 +2520,17 @@ mod tests {
         e.list_store_mut().fs_mut().append(f, &evil).unwrap();
         let report = e.audit();
         assert!(!report.is_clean());
+
+        // A rejected overwrite on the positions device alone is tamper
+        // evidence to the audit and to every answer's `trusted` flag.
+        let mut e = positional_engine();
+        e.add_document("target evidence record", Timestamp(1))
+            .unwrap();
+        let pos = e.positions_fs_mut().unwrap().device_mut();
+        assert!(pos.try_overwrite(BlockId(0), 0, b"x").is_err());
+        assert!(!e.audit().is_clean());
+        let resp = e.execute(&Query::disjunctive("evidence", 10)).unwrap();
+        assert!(!resp.trusted);
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //!
 //! * [`JumpCursor`] — a (possibly merged) posting list stored in a block
 //!   jump index, filtered to one term's tag;
-//! * [`BTreeCursor`] — the paper's B+ tree baseline;
 //! * [`MemCursor`] — an in-memory sorted run (intermediate join results);
 //!
 //! each counting the *distinct* blocks it reads, the unit in which
-//! Figure 8(c) reports query cost.
+//! Figure 8(c) reports query cost (`tks-bench` adds a B+ tree cursor).
 //!
 //! Proposition 3 guarantees the join is *complete*: `FindGeq` over a jump
 //! index can never skip a committed document, so a document present in
@@ -24,7 +23,6 @@
 //! makes conjunctive search trustworthy.
 
 use std::collections::HashSet;
-use tks_btree::AppendOnlyBPlusTree;
 use tks_jump::block::BlockJumpIndex;
 use tks_jump::Position;
 use tks_postings::{DocId, Posting};
@@ -250,51 +248,9 @@ impl DocCursor for JumpCursor<'_> {
     }
 }
 
-/// Cursor over the paper's baseline: one B+ tree per (unmerged) posting
-/// list.
-#[derive(Debug)]
-pub struct BTreeCursor<'a> {
-    tree: &'a AppendOnlyBPlusTree,
-    visited: HashSet<u32>,
-}
-
-impl<'a> BTreeCursor<'a> {
-    /// Wrap a tree whose keys are the posting list's document IDs.
-    pub fn new(tree: &'a AppendOnlyBPlusTree) -> Self {
-        Self {
-            tree,
-            visited: HashSet::new(),
-        }
-    }
-}
-
-impl DocCursor for BTreeCursor<'_> {
-    fn start(&mut self) -> Option<DocId> {
-        self.find_geq(DocId(0))
-    }
-
-    fn find_geq(&mut self, k: DocId) -> Option<DocId> {
-        let visited = &mut self.visited;
-        self.tree
-            .find_geq(k.0, &mut |n| {
-                visited.insert(n.0);
-            })
-            .map(DocId)
-    }
-
-    fn blocks_read(&self) -> u64 {
-        self.visited.len() as u64
-    }
-
-    fn len_hint(&self) -> u64 {
-        self.tree.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tks_btree::BTreeConfig;
     use tks_jump::JumpConfig;
 
     fn mem(v: &[u64]) -> Vec<DocId> {
@@ -398,24 +354,6 @@ mod tests {
         let got = zigzag_join(&mut c1, &mut c2);
         let expect: Vec<DocId> = (0..600).filter(|d| d % 6 == 0).map(DocId).collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn btree_cursor_joins() {
-        let mut t1 = AppendOnlyBPlusTree::new(BTreeConfig::tiny(4, 4));
-        let mut t2 = AppendOnlyBPlusTree::new(BTreeConfig::tiny(4, 4));
-        for k in (0..100).map(|i| i * 2) {
-            t1.insert(k).unwrap();
-        }
-        for k in (0..70).map(|i| i * 3) {
-            t2.insert(k).unwrap();
-        }
-        let mut c1 = BTreeCursor::new(&t1);
-        let mut c2 = BTreeCursor::new(&t2);
-        let got = zigzag_join(&mut c1, &mut c2);
-        let expect: Vec<DocId> = (0..200).filter(|d| d % 6 == 0).map(DocId).collect();
-        assert_eq!(got, expect);
-        assert!(c1.blocks_read() > 0 && c2.blocks_read() > 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   retry loop would survive.
 //!
 //! Policies are deterministic.  The seeded constructor uses the same
-//! SplitMix64 stream as the schedule explorer in `tks-core::sched`, so a
+//! SplitMix64 stream as the schedule explorer in `tests/sched`, so a
 //! failing seed printed by a test harness replays the exact same fault.
 //!
 //! A fault is an *availability* event, never silent corruption: the torn
@@ -80,9 +80,9 @@ pub struct FaultPolicy {
     tripped: bool,
 }
 
-/// SplitMix64 step — the same generator as `tks-core::sched::SchedRng`,
-/// duplicated here (worm is below core in the dependency order) so a
-/// seed means the same stream in both crates.
+/// SplitMix64 step — the same generator as `SchedRng` in the race
+/// explorer (`tests/sched`), duplicated here so a seed means the same
+/// stream in both.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

@@ -11,6 +11,7 @@
 //! cargo run --release --example email_archive
 //! ```
 
+use tks_bench::epoch::{EpochConfig, EpochManager};
 use trustworthy_search::prelude::*;
 use trustworthy_search::worm::{WormError, WormFs};
 

@@ -16,10 +16,9 @@
 //! cargo run --release --example insider_attack
 //! ```
 
+use tks_bench::rank_attack::{rank_of, stuff_phantom_postings, stuff_with_decoys};
 use trustworthy_search::btree::{hide_keys_above, AppendOnlyBPlusTree, BTreeConfig};
-use trustworthy_search::core::rank_attack::{
-    detect_phantom_postings, rank_of, stuff_phantom_postings, stuff_with_decoys,
-};
+use trustworthy_search::core::rank_attack::detect_phantom_postings;
 use trustworthy_search::jump::{BlockJumpIndex, JumpConfig};
 use trustworthy_search::prelude::*;
 

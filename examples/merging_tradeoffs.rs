@@ -7,9 +7,9 @@
 //! cargo run --release --example merging_tradeoffs
 //! ```
 
-use trustworthy_search::core::cost::{unmerged_workload_cost, workload_cost};
+use tks_bench::cost::{unmerged_workload_cost, workload_cost};
+use tks_bench::sim::insertion_ios;
 use trustworthy_search::core::merge::MergeAssignment;
-use trustworthy_search::core::sim::insertion_ios;
 use trustworthy_search::corpus::{
     CorpusConfig, DocumentGenerator, QueryConfig, QueryGenerator, QueryTermStats, TermStats,
 };

@@ -26,9 +26,10 @@
 //!   the paper's IBM intranet workload;
 //! * [`core`] — the assembled engine: merged posting lists with real-time
 //!   index update, ranked disjunctive search (BM25/cosine), conjunctive
-//!   zigzag joins over jump indexes, trustworthy commit-time ranges,
-//!   epoch-based statistics learning, ranking-attack countermeasures, and
-//!   the simulation drivers behind every figure of the paper;
+//!   zigzag joins over jump indexes, trustworthy commit-time ranges, and
+//!   the phantom-posting countermeasure to ranking attacks (the cost
+//!   model, figure drivers, attack simulations and epoch learner are the
+//!   paper lab's, in the `tks-bench` crate);
 //! * [`shard`] — the sharded multi-archive engine: hash-partitioned WORM
 //!   shards behind one writer/searcher pair, scatter-gather query
 //!   execution with conservative trust merging, and per-shard fault
@@ -112,7 +113,6 @@ pub mod prelude {
     pub use tks_core::engine::{
         AuditReport, ConfigError, EngineConfig, RecoveryReport, SearchEngine, SearchHit,
     };
-    pub use tks_core::epoch::{EpochConfig, EpochManager};
     pub use tks_core::merge::MergeAssignment;
     pub use tks_core::query::{Query, QueryResponse, TermSelector, TimeRange};
     pub use tks_core::ranking::RankingModel;

@@ -12,7 +12,7 @@
 //! Residue of the torn document must be quarantined and reported, never
 //! silently dropped and never surfaced as a hit.
 //!
-//! A seeded matrix (same SplitMix64 stream as `tks_core::sched`) runs the
+//! A seeded matrix (same SplitMix64 stream as `tests/sched`) runs the
 //! same convergence check under randomly shaped faults — fail-stop, torn
 //! write, error-once-then-heal — so CI can sweep disjoint seed ranges via
 //! `CRASH_SEED_BASE` without ever re-testing the same fault twice.

@@ -2,9 +2,9 @@
 //! against brute-force reference results across merge strategies and
 //! access paths.
 
+use tks_bench::sim::build_engine;
 use trustworthy_search::core::engine::{EngineConfig, SearchEngine};
 use trustworthy_search::core::merge::MergeAssignment;
-use trustworthy_search::core::sim::build_engine;
 use trustworthy_search::corpus::{CorpusConfig, DocumentGenerator, QueryConfig, QueryGenerator};
 use trustworthy_search::jump::JumpConfig;
 use trustworthy_search::prelude::*;

@@ -4,7 +4,7 @@
 //! investigations touching only overlapping epochs, and the adaptive
 //! jump-index decision.
 
-use trustworthy_search::core::epoch::{EpochConfig, EpochManager};
+use tks_bench::epoch::{EpochConfig, EpochManager};
 use trustworthy_search::core::merge::MergeAssignment;
 use trustworthy_search::corpus::{CorpusConfig, DocumentGenerator};
 use trustworthy_search::jump::JumpConfig;

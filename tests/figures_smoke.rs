@@ -2,15 +2,13 @@
 //! *shape* claims that EXPERIMENTS.md reports at full harness scale.
 
 use std::collections::HashSet;
-use trustworthy_search::core::cost::{
-    cumulative_workload_curve, unmerged_workload_cost, workload_cost,
-};
-use trustworthy_search::core::engine::EngineConfig;
-use trustworthy_search::core::merge::MergeAssignment;
-use trustworthy_search::core::sim::{
+use tks_bench::cost::{cumulative_workload_curve, unmerged_workload_cost, workload_cost};
+use tks_bench::sim::{
     btree_conjunctive_cost, build_engine, build_term_btrees, insertion_ios, jump_insertion_ios,
     scan_merge_blocks,
 };
+use trustworthy_search::core::engine::EngineConfig;
+use trustworthy_search::core::merge::MergeAssignment;
 use trustworthy_search::corpus::{
     CorpusConfig, DocumentGenerator, QueryConfig, QueryGenerator, QueryTermStats, TermStats,
 };

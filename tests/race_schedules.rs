@@ -2,12 +2,14 @@
 //!
 //! Each test drives the real concurrency types — [`AtomicIoStats`] and the
 //! `IndexWriter`/`Searcher` service — through hundreds of seeded
-//! interleavings of virtual-thread operations (see `tks_core::sched`).
+//! interleavings of virtual-thread operations (see `sched/mod.rs`).
 //! Any violated invariant reports the exact seed, so a failure here is
 //! reproducible by construction: re-run the test and the same seed fails
 //! the same way.
 
-use tks_core::sched::{explore, interleave, Step};
+mod sched;
+
+use sched::{explore, interleave, Step};
 use tks_core::{service, EngineConfig, IndexWriter, Query, SearchEngine, Searcher};
 use tks_postings::types::Timestamp;
 use tks_replica::{attach, detach, fresh_images, recover_shard, ApplyMode, ReplicaSet};

@@ -3,10 +3,9 @@
 //! (B+ trees on WORM) really is defeated.
 
 use proptest::prelude::*;
+use tks_bench::rank_attack::stuff_phantom_postings;
 use trustworthy_search::btree::{hide_keys_above, AppendOnlyBPlusTree, BTreeConfig};
-use trustworthy_search::core::rank_attack::{
-    detect_phantom_postings, stuff_phantom_postings, PhantomReason,
-};
+use trustworthy_search::core::rank_attack::{detect_phantom_postings, PhantomReason};
 use trustworthy_search::jump::{BlockJumpIndex, JumpConfig, WormJumpIndex};
 use trustworthy_search::prelude::*;
 use trustworthy_search::worm::{WormError, WormFs};
