@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet};
 use tks_btree::{AppendOnlyBPlusTree, BTreeConfig};
 use tks_core::engine::{EngineConfig, SearchEngine, SearchError};
-use tks_core::zigzag::{zigzag_join_multi, DocCursor};
+use tks_core::zigzag::{zigzag_join_multi, DocCursor, ALL_DOCS};
 use tks_corpus::DocumentGenerator;
 use tks_postings::{DocId, TermId};
 
@@ -89,7 +89,7 @@ pub fn btree_conjunctive_cost(
     for t in terms {
         cursors.push(Box::new(BTreeCursor::new(trees.get(t)?)));
     }
-    Some(zigzag_join_multi(cursors))
+    Some(zigzag_join_multi(cursors, ALL_DOCS))
 }
 
 /// Cursor over the paper's baseline: one B+ tree per (unmerged) posting
@@ -111,10 +111,6 @@ impl<'a> BTreeCursor<'a> {
 }
 
 impl DocCursor for BTreeCursor<'_> {
-    fn start(&mut self) -> Option<DocId> {
-        self.find_geq(DocId(0))
-    }
-
     fn find_geq(&mut self, k: DocId) -> Option<DocId> {
         let visited = &mut self.visited;
         self.tree
@@ -220,7 +216,7 @@ mod tests {
         }
         let mut c1 = BTreeCursor::new(&t1);
         let mut c2 = BTreeCursor::new(&t2);
-        let got = zigzag_join(&mut c1, &mut c2);
+        let got = zigzag_join(&mut c1, &mut c2, ALL_DOCS);
         let expect: Vec<DocId> = (0..200).filter(|d| d % 6 == 0).map(DocId).collect();
         assert_eq!(got, expect);
         assert!(c1.blocks_read() > 0 && c2.blocks_read() > 0);

@@ -95,12 +95,16 @@ fn verbs_agree_across_shard_counts_and_with_a_reference_engine() {
         ("all", "compliance record"),
         ("phrase", "escrow instructions"),
         ("range", "103 106 compliance"),
+        ("range", "104 18446744073709551615 compliance"),
+        ("range", "105 4294967296 retention"),
     ];
     let queries = [
         Query::disjunctive("merger escrow", 50),
         Query::conjunctive("compliance record"),
         Query::phrase("escrow instructions"),
         Query::conjunctive_in_range("compliance", Timestamp(103), Timestamp(106)),
+        Query::conjunctive_in_range("compliance", Timestamp(104), Timestamp(u64::MAX)),
+        Query::conjunctive_in_range("retention", Timestamp(105), Timestamp(1 << 32)),
     ];
     for shards in [1u32, 3] {
         let dir = temp_dir(&format!("agree-{shards}"));
@@ -135,6 +139,14 @@ fn verbs_agree_across_shard_counts_and_with_a_reference_engine() {
             assert_eq!(got.rows, want, "{verb} at --shards {shards}");
             assert!(got.resp.trusted, "{verb} at --shards {shards}");
         }
+        // A timestamp past the commit-time index's 32 bits is refused,
+        // not wrapped to an earlier time, and commits nothing.
+        let err = tks(&format!("note {d} 4294967396 beta memo")).unwrap_err();
+        assert!(err.to_string().contains("32-bit"), "{err}");
+        assert!(answer(&dir, Query::conjunctive("beta"))
+            .unwrap()
+            .rows
+            .is_empty());
         // Backdating is impossible: a timestamp below the head commits at
         // it.  (`tks archive VERB` is the older spelling of `tks VERB`.)
         tks(&format!("archive note {d} 50 backdated memo")).unwrap();

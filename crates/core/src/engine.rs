@@ -25,11 +25,12 @@
 //!   is surfaced as tamper evidence.
 
 use crate::merge::MergeAssignment;
-use crate::query::{Query, QueryResponse, TermSelector};
+use crate::query::{Query, QueryResponse, TermSelector, TimeRange};
 use crate::ranking::{CollectionStats, RankingModel};
 use crate::tokenizer;
-use crate::zigzag::{zigzag_join_multi, DocCursor, JumpCursor};
+use crate::zigzag::{zigzag_join_multi, DocCursor, JumpCursor, ALL_DOCS};
 use std::collections::HashMap;
+use std::ops::Range;
 use tks_jump::block::{BlockJumpIndex, JumpEntry, Touch};
 use tks_jump::{JumpConfig, JumpError, TamperEvidence};
 use tks_postings::list::{ListError, ListStore};
@@ -308,6 +309,11 @@ pub enum SearchError {
         /// The offending timestamp.
         attempted: Timestamp,
     },
+    /// A commit timestamp past the commit-time index's 32-bit seconds.
+    TimestampOutOfRange {
+        /// The offending timestamp.
+        attempted: Timestamp,
+    },
     /// A commit collided with quarantined crash residue: a torn commit's
     /// orphan document text already occupies the next document's WORM
     /// file.  WORM cannot truncate, and the engine refuses to guess
@@ -354,6 +360,12 @@ impl std::fmt::Display for SearchError {
             }
             SearchError::NonMonotonicTimestamp { last, attempted } => {
                 write!(f, "commit time {attempted} precedes committed {last}")
+            }
+            SearchError::TimestampOutOfRange { attempted } => {
+                write!(
+                    f,
+                    "commit time {attempted} exceeds the 32-bit commit-time index"
+                )
             }
             SearchError::QuarantinedResidue { file, bytes } => {
                 write!(
@@ -417,15 +429,18 @@ pub struct SearchHit {
 }
 
 /// Commit-time index entry: timestamp (key) + document ID (payload),
-/// packed into the standard 8-byte entry.
+/// 32 bits each, packed into the standard 8-byte entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TimeEntry(u64);
 
 impl TimeEntry {
-    fn new(ts: Timestamp, doc: DocId) -> Self {
-        debug_assert!(ts.0 < (1 << 32), "timestamps are 32-bit seconds");
-        debug_assert!(doc.0 < (1 << 32));
-        Self((ts.0 << 32) | doc.0)
+    fn new(ts: Timestamp, doc: DocId) -> Result<Self, SearchError> {
+        if ts.0 > u32::MAX as u64 {
+            return Err(SearchError::TimestampOutOfRange { attempted: ts });
+        }
+        let doc = u32::try_from(doc.0)
+            .map_err(|_| SearchError::Internal(format!("{doc} overflows the time index")))?;
+        Ok(Self((ts.0 << 32) | doc as u64))
     }
     fn doc(self) -> DocId {
         DocId(self.0 & 0xFFFF_FFFF)
@@ -833,13 +848,8 @@ impl SearchEngine {
                 <[u8; 8]>::try_from(&rec[8..16])
                     .map_err(|_| recovery_err("short document metadata record"))?,
             );
-            if let Some(last) = docs.last() {
-                let last: &DocMeta = last;
-                if ts < last.timestamp {
-                    return Err(recovery_err("document metadata timestamps decrease"));
-                }
-            }
-            commit_times.insert(TimeEntry::new(ts, DocId(i)))?;
+            // The commit-time index refuses a decreasing timestamp.
+            commit_times.insert(TimeEntry::new(ts, DocId(i))?)?;
             total_tokens += len;
             if len >= 1 {
                 min_doc_len = min_doc_len.min(len);
@@ -1270,6 +1280,8 @@ impl SearchEngine {
                 });
             }
         }
+        let doc = DocId(self.docs.len() as u64);
+        let time_entry = TimeEntry::new(ts, doc)?;
         // Validate the whole document against the assignment up front so a
         // failed insert leaves no partial state.
         for &(t, _) in terms {
@@ -1283,7 +1295,6 @@ impl SearchEngine {
             }
         }
 
-        let doc = DocId(self.docs.len() as u64);
         let len: u64 = terms.iter().map(|&(_, tf)| tf as u64).sum();
         // Every byte this commit writes is absorbed into the in-flight
         // chain digest in canonical order; the sealed link lands on WORM
@@ -1381,22 +1392,21 @@ impl SearchEngine {
 
         // 3. Commit-time index (paper §5): trustworthy time-range queries.
         let cache = &mut self.cache;
-        self.commit_times
-            .insert_with(TimeEntry::new(ts, doc), |t| match t {
-                Touch::Append {
-                    block,
-                    was_empty,
-                    fills,
-                } => {
-                    cache.access(
-                        time_block_id(block),
-                        AccessKind::Append { was_empty, fills },
-                    );
-                }
-                Touch::PointerSet { block, .. } => {
-                    cache.access(time_block_id(block), AccessKind::Update);
-                }
-            })?;
+        self.commit_times.insert_with(time_entry, |t| match t {
+            Touch::Append {
+                block,
+                was_empty,
+                fills,
+            } => {
+                cache.access(
+                    time_block_id(block),
+                    AccessKind::Append { was_empty, fills },
+                );
+            }
+            Touch::PointerSet { block, .. } => {
+                cache.access(time_block_id(block), AccessKind::Update);
+            }
+        })?;
 
         // 4. Seal and persist the chain link, then the commit point.
         //    The link reaches WORM first so DOCMETA stays the LAST append
@@ -1474,6 +1484,10 @@ impl SearchEngine {
     /// watermark here so readers see a stable prefix of the commit
     /// sequence regardless of writer progress.
     ///
+    /// Every evaluator is bounded at the watermark, never filtered after:
+    /// a time range and the watermark are one doc-id interval (see
+    /// `doc_interval`) that joins stop at and `TimeRange` answers.
+    ///
     /// Ranking statistics (document frequencies, collection averages)
     /// reflect the live collection; the result *set* respects the
     /// watermark.
@@ -1491,14 +1505,9 @@ impl SearchEngine {
             Query::Conjunctive { terms, range } => match self.resolve_all(terms) {
                 None => (Vec::new(), 0, 0),
                 Some(ids) => {
-                    let (mut docs, blocks) = self.conjunctive_terms(&ids)?;
-                    docs.retain(|d| d.0 < visible);
-                    if let Some(r) = range {
-                        let set: std::collections::HashSet<DocId> =
-                            self.docs_in_time_range(r.from, r.to)?.into_iter().collect();
-                        docs.retain(|d| set.contains(d));
-                    }
-                    (unranked_hits(docs), blocks, 0)
+                    let (docs, probes) = self.doc_interval(range.as_ref(), visible)?;
+                    let (docs, blocks) = self.conjunctive_in(&ids, docs)?;
+                    (unranked_hits(docs), blocks + probes, 0)
                 }
             },
             Query::Phrase { text } => {
@@ -1506,12 +1515,9 @@ impl SearchEngine {
                 (unranked_hits(docs), blocks, 0)
             }
             Query::TimeRange(r) => {
-                let mut docs = self.docs_in_time_range(r.from, r.to)?;
-                docs.retain(|d| d.0 < visible);
-                // Entries sit contiguously in the commit-time index.
-                let per_block = self.commit_times.config().entries_per_block() as u64;
-                let blocks = (docs.len() as u64).div_ceil(per_block.max(1));
-                (unranked_hits(docs), blocks, 0)
+                let (docs, probes) = self.doc_interval(Some(r), visible)?;
+                let docs = (docs.start.0..docs.end.0).map(DocId).collect();
+                (unranked_hits(docs), probes, 0)
             }
         };
         Ok(QueryResponse {
@@ -1933,11 +1939,46 @@ impl SearchEngine {
         self.devices().all(|d| d.tamper_log().is_empty())
     }
 
+    /// The documents committed in `range` and visible at `visible` as one
+    /// interval `[lo, hi)`, plus the distinct commit-time-index blocks
+    /// read.  Timestamps never decrease in doc order, so `lo` is the first
+    /// doc stamped `≥ from` and `hi` the first `> to` (no probe if open).
+    fn doc_interval(
+        &self,
+        range: Option<&TimeRange>,
+        visible: u64,
+    ) -> Result<(Range<DocId>, u64), SearchError> {
+        let mut touched = Vec::new();
+        let mut first_at = |ts: Option<u64>| -> Result<u64, SearchError> {
+            let Some(ts) = ts else { return Ok(visible) };
+            let pos = self.commit_times.find_geq_with(ts, |b| touched.push(b))?;
+            let entry = pos.and_then(|p| self.commit_times.entry_at(p));
+            Ok(entry.map_or(visible, |e| e.doc().0.min(visible)))
+        };
+        let (lo, hi) = match range {
+            None => (0, visible),
+            Some(r) if r.is_empty() => (0, 0),
+            Some(r) => (first_at(Some(r.from.0))?, first_at(r.to.0.checked_add(1))?),
+        };
+        touched.sort_unstable();
+        touched.dedup();
+        Ok((DocId(lo.min(hi))..DocId(hi), touched.len() as u64))
+    }
+
     /// Conjunctive search over term IDs, returning the matching documents
     /// and the distinct index blocks read (the Figure 8(c) cost unit).
     /// Uses zigzag joins over jump indexes when enabled, else scan-merge.
     pub fn conjunctive_terms(&self, terms: &[TermId]) -> Result<(Vec<DocId>, u64), SearchError> {
-        if terms.is_empty() {
+        self.conjunctive_in(terms, ALL_DOCS)
+    }
+
+    /// [`conjunctive_terms`](Self::conjunctive_terms) within `docs` only.
+    fn conjunctive_in(
+        &self,
+        terms: &[TermId],
+        docs: Range<DocId>,
+    ) -> Result<(Vec<DocId>, u64), SearchError> {
+        if terms.is_empty() || docs.is_empty() {
             return Ok((Vec::new(), 0));
         }
         if !self.jump.is_empty() {
@@ -1954,12 +1995,12 @@ impl SearchEngine {
                     self.doc_freq(term),
                 )));
             }
-            return Ok(zigzag_join_multi(cursors));
+            return Ok(zigzag_join_multi(cursors, docs));
         }
         // Scan-merge fallback.  The cost is whole merged lists, charged up
         // front for every distinct list exactly as materialising scans
         // would (Figure 8(c) accounting is unchanged by the streaming
-        // rewrite below).
+        // rewrite below and by `docs`, which only ends the work early).
         let mut lists: Vec<u32> = terms
             .iter()
             .map(|&t| self.config.assignment.list_of(t).0)
@@ -1985,6 +2026,8 @@ impl SearchEngine {
             .store
             .postings_for_term(rarest_list, rarest)?
             .map(|p| p.doc)
+            .skip_while(|d| *d < docs.start)
+            .take_while(|d| *d < docs.end)
             .collect();
         for &term in rest {
             if acc.is_empty() {
@@ -2018,28 +2061,6 @@ impl SearchEngine {
         Ok((acc, blocks))
     }
 
-    /// Documents committed in `[from, to]`, answered from the trustworthy
-    /// commit-time jump index (paper §5).
-    pub fn docs_in_time_range(
-        &self,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> Result<Vec<DocId>, SearchError> {
-        if from > to {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        if let Some(pos) = self.commit_times.find_geq(from.0)? {
-            for e in self.commit_times.iter_from(pos) {
-                if e.jump_key() > to.0 {
-                    break;
-                }
-                out.push(e.doc());
-            }
-        }
-        Ok(out)
-    }
-
     /// The one implementation of phrase matching.  Returns the matching
     /// documents (ascending) and the blocks read: the conjunctive
     /// candidate join's blocks plus one read per position record fetched.
@@ -2066,12 +2087,9 @@ impl SearchEngine {
         let mut distinct = terms.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let (candidates, mut blocks) = self.conjunctive_terms(&distinct)?;
+        let (candidates, mut blocks) = self.conjunctive_in(&distinct, DocId(0)..DocId(visible))?;
         let mut out = Vec::new();
         'docs: for doc in candidates {
-            if doc.0 >= visible {
-                continue;
-            }
             let mut tok_pos = Vec::with_capacity(terms.len());
             for &term in &terms {
                 let list = self.config.assignment.list_of(term);
@@ -2254,6 +2272,40 @@ mod tests {
         // Equal timestamps are fine (same-second commits).
         e.add_document("c", Timestamp(10)).unwrap();
         assert_eq!(e.num_docs(), 2);
+
+        // A timestamp past the commit-time index's 32 bits is refused
+        // before anything reaches WORM or the chain, instead of wrapping.
+        // (The text's terms are already interned, so the dictionary does
+        // not grow either.)
+        let (head, bytes) = (e.chain_head(), e.device_bytes_committed());
+        let err = e
+            .add_document("a c", Timestamp(u32::MAX as u64 + 101))
+            .unwrap_err();
+        assert!(
+            matches!(err, SearchError::TimestampOutOfRange { .. }),
+            "{err}"
+        );
+        assert_eq!(
+            (e.num_docs(), e.chain_head(), e.device_bytes_committed()),
+            (2, head, bytes)
+        );
+        e.add_document("e", Timestamp(u32::MAX as u64)).unwrap();
+
+        // Recovery refuses a DOCMETA record past 32 bits, or one that goes
+        // back in time (the commit-time index itself refuses it).
+        for ts in [1u64 << 32, 9] {
+            let mut e = engine();
+            e.add_document("a", Timestamp(10)).unwrap();
+            let config = e.config().clone();
+            let mut parts = e.into_parts();
+            let f = parts.doc_fs.open(DOCMETA_FILE).unwrap();
+            let mut rec = [0u8; DOCMETA_RECORD];
+            rec[0..8].copy_from_slice(&ts.to_le_bytes());
+            parts.doc_fs.append(f, &rec).unwrap();
+            let err = SearchEngine::recover(parts, config).unwrap_err();
+            let typed = matches!(err, SearchError::TimestampOutOfRange { .. });
+            assert_eq!(typed, ts > u32::MAX as u64, "{err}");
+        }
     }
 
     #[test]
@@ -2263,18 +2315,21 @@ mod tests {
             e.add_document(&format!("memo number {i}"), Timestamp(100 + i * 10))
                 .unwrap();
         }
-        let docs = e
-            .docs_in_time_range(Timestamp(120), Timestamp(150))
-            .unwrap();
-        assert_eq!(docs, vec![DocId(2), DocId(3), DocId(4), DocId(5)]);
-        assert!(e
-            .docs_in_time_range(Timestamp(500), Timestamp(600))
-            .unwrap()
-            .is_empty());
-        assert!(e
-            .docs_in_time_range(Timestamp(150), Timestamp(120))
-            .unwrap()
-            .is_empty());
+        let range = |from: u64, to: u64, visible: u64| {
+            let q = Query::time_range(Timestamp(from), Timestamp(to));
+            let r = e.execute_bounded(&q, visible).unwrap();
+            (r.docs(), r.blocks_read)
+        };
+        let ids = |v: std::ops::Range<u64>| v.map(DocId).collect::<Vec<_>>();
+        assert_eq!(range(120, 150, 10), (ids(2..6), 1));
+        assert_eq!(range(125, 150, 10), (ids(3..6), 1));
+        assert_eq!(range(120, 150, 4), (ids(2..4), 1));
+        assert_eq!(range(120, u64::MAX, 10), (ids(2..10), 1));
+        assert_eq!(range(0, u64::MAX, 7), (ids(0..7), 1));
+        assert_eq!(range(500, 600, 10).0, ids(0..0));
+        assert_eq!(range(150, 120, 10), (ids(0..0), 0));
+        assert_eq!(range(1 << 40, u64::MAX, 10).0, ids(0..0));
+        assert_eq!(range(0, (1 << 40) - 1, 10).0, ids(0..10));
     }
 
     #[test]
@@ -2634,9 +2689,8 @@ mod tests {
             .execute(&Query::conjunctive("alpha beta gamma"))
             .map(|r| r.docs())
             .unwrap();
-        let range_before = e
-            .docs_in_time_range(Timestamp(101), Timestamp(102))
-            .unwrap();
+        let range_query = Query::time_range(Timestamp(101), Timestamp(102));
+        let range_before = e.execute(&range_query).unwrap().docs();
 
         let r = SearchEngine::recover(e.into_parts(), config).unwrap();
         assert_eq!(r.num_docs(), 4);
@@ -2653,11 +2707,7 @@ mod tests {
                 .unwrap(),
             conjunctive_before
         );
-        assert_eq!(
-            r.docs_in_time_range(Timestamp(101), Timestamp(102))
-                .unwrap(),
-            range_before
-        );
+        assert_eq!(r.execute(&range_query).unwrap().docs(), range_before);
         assert_eq!(r.document_text(DocId(0)).unwrap(), docs[0]);
         assert!(r.audit().is_clean());
         // The recovered engine keeps working.

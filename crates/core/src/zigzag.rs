@@ -22,15 +22,18 @@
 //! every keyword's list always appears in the result — the property that
 //! makes conjunctive search trustworthy.
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::ops::Range;
 use tks_jump::block::BlockJumpIndex;
 use tks_jump::Position;
 use tks_postings::{DocId, Posting};
 
+/// Every document ID: the interval of an unrestricted join.
+pub const ALL_DOCS: Range<DocId> = DocId(0)..DocId(u64::MAX);
+
 /// A sorted stream of document IDs supporting index-assisted skipping.
 pub trait DocCursor {
-    /// The smallest document ID in the stream.
-    fn start(&mut self) -> Option<DocId>;
     /// The smallest document ID ≥ `k` (paper: `FindGeq`).
     fn find_geq(&mut self, k: DocId) -> Option<DocId>;
     /// Distinct blocks read so far (query-cost unit).
@@ -39,76 +42,63 @@ pub trait DocCursor {
     fn len_hint(&self) -> u64;
 }
 
-/// Figure 5's two-way zigzag join.
-pub fn zigzag_join(l1: &mut dyn DocCursor, l2: &mut dyn DocCursor) -> Vec<DocId> {
-    let mut out = Vec::new();
-    let (mut top1, mut top2) = match (l1.start(), l2.start()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => return out,
-    };
-    loop {
-        if top1 < top2 {
-            match l1.find_geq(top2) {
-                Some(t) => top1 = t,
-                None => return out,
-            }
-        } else if top2 < top1 {
-            match l2.find_geq(top1) {
-                Some(t) => top2 = t,
-                None => return out,
-            }
-        } else {
-            out.push(top1);
-            let next = DocId(top1.0 + 1);
-            match (l1.find_geq(next), l2.find_geq(next)) {
-                (Some(a), Some(b)) => {
-                    top1 = a;
-                    top2 = b;
-                }
-                _ => return out,
-            }
-        }
-    }
+/// `FindGeq` clipped to the join's interval: a document at or past
+/// `docs.end` ends the stream.
+fn find_in(c: &mut dyn DocCursor, k: DocId, docs: &Range<DocId>) -> Option<DocId> {
+    c.find_geq(k).filter(|d| *d < docs.end)
 }
 
-/// Multi-way conjunctive join: "Multi-keyword queries are answered with
-/// zigzag joins of the posting lists, starting with the shortest two
-/// lists" (§4.5); each partial result is then zigzag-joined with the next
-/// shortest list.  Returns the matching documents and the total distinct
-/// blocks read.
-pub fn zigzag_join_multi(mut cursors: Vec<Box<dyn DocCursor + '_>>) -> (Vec<DocId>, u64) {
-    if cursors.is_empty() {
-        return (Vec::new(), 0);
-    }
-    cursors.sort_by_key(|c| c.len_hint());
-    let mut blocks = 0u64;
-    if cursors.len() == 1 {
-        // Degenerate conjunction: stream the single list.
-        let Some(mut c) = cursors.pop() else {
-            return (Vec::new(), 0);
+/// Figure 5's two-way zigzag join over the documents in `docs`: both
+/// cursors start at `FindGeq(docs.start)` and stop at `docs.end`.
+pub fn zigzag_join(
+    l1: &mut dyn DocCursor,
+    l2: &mut dyn DocCursor,
+    docs: Range<DocId>,
+) -> Vec<DocId> {
+    let mut out = Vec::new();
+    let mut tops = find_in(l1, docs.start, &docs).zip(find_in(l2, docs.start, &docs));
+    while let Some((top1, top2)) = tops {
+        tops = match top1.cmp(&top2) {
+            Ordering::Less => find_in(l1, top2, &docs).map(|t| (t, top2)),
+            Ordering::Greater => find_in(l2, top1, &docs).map(|t| (top1, t)),
+            Ordering::Equal => {
+                out.push(top1);
+                find_in(l1, top1.next(), &docs).zip(find_in(l2, top1.next(), &docs))
+            }
         };
-        let mut out = Vec::new();
-        let mut cur = c.start();
-        while let Some(d) = cur {
-            out.push(d);
-            cur = c.find_geq(DocId(d.0 + 1));
-        }
-        return (out, c.blocks_read());
     }
+    out
+}
+
+/// Multi-way conjunctive join over the documents in `docs`: "Multi-keyword
+/// queries are answered with zigzag joins of the posting lists, starting
+/// with the shortest two lists" (§4.5); each partial result is then
+/// zigzag-joined with the next shortest list.  Returns the matching
+/// documents and the total distinct blocks read.
+pub fn zigzag_join_multi(
+    mut cursors: Vec<Box<dyn DocCursor + '_>>,
+    docs: Range<DocId>,
+) -> (Vec<DocId>, u64) {
+    cursors.sort_by_key(|c| c.len_hint());
     let mut iter = cursors.into_iter();
-    let (Some(mut a), Some(mut b)) = (iter.next(), iter.next()) else {
-        return (Vec::new(), blocks);
+    let Some(mut a) = iter.next() else {
+        return (Vec::new(), 0);
     };
-    let mut partial = zigzag_join(a.as_mut(), b.as_mut());
-    blocks += a.blocks_read() + b.blocks_read();
+    let Some(mut b) = iter.next() else {
+        // Degenerate conjunction: stream the single list.
+        let first = find_in(a.as_mut(), docs.start, &docs);
+        let out = std::iter::successors(first, |d| find_in(a.as_mut(), d.next(), &docs)).collect();
+        return (out, a.blocks_read());
+    };
+    let mut partial = zigzag_join(a.as_mut(), b.as_mut(), docs.clone());
+    let mut blocks = a.blocks_read() + b.blocks_read();
     for mut c in iter {
         if partial.is_empty() {
-            // Still account the cursors we never touch?  No: an engine
-            // would stop as soon as the intersection is empty.
+            // An engine stops as soon as the intersection is empty.
             break;
         }
         let mut mem = MemCursor::new(&partial);
-        partial = zigzag_join(&mut mem, c.as_mut());
+        partial = zigzag_join(&mut mem, c.as_mut(), docs.clone());
         blocks += c.blocks_read();
     }
     (partial, blocks)
@@ -135,11 +125,6 @@ impl<'a> MemCursor<'a> {
 }
 
 impl DocCursor for MemCursor<'_> {
-    fn start(&mut self) -> Option<DocId> {
-        self.pos = 0;
-        self.docs.first().copied()
-    }
-
     fn find_geq(&mut self, k: DocId) -> Option<DocId> {
         // Monotone access pattern: gallop from the current position.  A
         // zigzag join between lists of very different sizes advances the
@@ -218,10 +203,6 @@ impl<'a> JumpCursor<'a> {
 }
 
 impl DocCursor for JumpCursor<'_> {
-    fn start(&mut self) -> Option<DocId> {
-        self.find_geq(DocId(0))
-    }
-
     fn find_geq(&mut self, k: DocId) -> Option<DocId> {
         let visited = &mut self.visited;
         let pos = self
@@ -263,7 +244,18 @@ mod tests {
         let b = mem(&[2, 3, 4, 9, 10, 11, 12]);
         let mut ca = MemCursor::new(&a);
         let mut cb = MemCursor::new(&b);
-        assert_eq!(zigzag_join(&mut ca, &mut cb), mem(&[3, 9, 11]));
+        assert_eq!(zigzag_join(&mut ca, &mut cb, ALL_DOCS), mem(&[3, 9, 11]));
+        // The interval is half-open and bounds both ends of the join.
+        for (docs, expect) in [
+            (DocId(3)..DocId(11), mem(&[3, 9])),
+            (DocId(4)..DocId(12), mem(&[9, 11])),
+            (DocId(10)..DocId(11), mem(&[])),
+            (DocId(9)..DocId(9), mem(&[])),
+        ] {
+            let mut ca = MemCursor::new(&a);
+            let mut cb = MemCursor::new(&b);
+            assert_eq!(zigzag_join(&mut ca, &mut cb, docs), expect);
+        }
     }
 
     #[test]
@@ -276,7 +268,7 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         let mut cur = MemCursor::new(&sorted);
-        assert_eq!(cur.start(), sorted.first().copied());
+        assert_eq!(cur.find_geq(DocId(0)), sorted.first().copied());
         let mut reference = 0usize;
         for probe in (0..6000u64).step_by(7).map(DocId) {
             reference += sorted[reference..].partition_point(|&d| d < probe);
@@ -297,7 +289,7 @@ mod tests {
         let b = mem(&[1, 2]);
         let mut ca = MemCursor::new(&a);
         let mut cb = MemCursor::new(&b);
-        assert!(zigzag_join(&mut ca, &mut cb).is_empty());
+        assert!(zigzag_join(&mut ca, &mut cb, ALL_DOCS).is_empty());
     }
 
     #[test]
@@ -306,7 +298,7 @@ mod tests {
         let b = mem(&[2, 4, 6]);
         let mut ca = MemCursor::new(&a);
         let mut cb = MemCursor::new(&b);
-        assert!(zigzag_join(&mut ca, &mut cb).is_empty());
+        assert!(zigzag_join(&mut ca, &mut cb, ALL_DOCS).is_empty());
     }
 
     #[test]
@@ -315,7 +307,7 @@ mod tests {
         let mut ca = MemCursor::new(&a);
         let b = a.clone();
         let mut cb = MemCursor::new(&b);
-        assert_eq!(zigzag_join(&mut ca, &mut cb), a);
+        assert_eq!(zigzag_join(&mut ca, &mut cb, ALL_DOCS), a);
     }
 
     fn jump_list(postings: &[(u64, u32)]) -> BlockJumpIndex<Posting> {
@@ -336,7 +328,7 @@ mod tests {
         // A merged list with two terms interleaved.
         let idx = jump_list(&[(1, 0), (1, 1), (2, 0), (5, 1), (7, 0), (7, 1), (9, 0)]);
         let mut c = JumpCursor::new(&idx, Some(1), 3);
-        assert_eq!(c.start(), Some(DocId(1)));
+        assert_eq!(c.find_geq(DocId(0)), Some(DocId(1)));
         assert_eq!(c.find_geq(DocId(2)), Some(DocId(5)));
         assert_eq!(c.find_geq(DocId(6)), Some(DocId(7)));
         assert_eq!(c.find_geq(DocId(8)), None);
@@ -351,7 +343,7 @@ mod tests {
         let i2 = jump_list(&l2);
         let mut c1 = JumpCursor::new(&i1, Some(0), l1.len() as u64);
         let mut c2 = JumpCursor::new(&i2, Some(0), l2.len() as u64);
-        let got = zigzag_join(&mut c1, &mut c2);
+        let got = zigzag_join(&mut c1, &mut c2, ALL_DOCS);
         let expect: Vec<DocId> = (0..600).filter(|d| d % 6 == 0).map(DocId).collect();
         assert_eq!(got, expect);
     }
@@ -366,20 +358,23 @@ mod tests {
             Box::new(MemCursor::new(&b)),
             Box::new(MemCursor::new(&c)),
         ];
-        let (result, _blocks) = zigzag_join_multi(cursors);
+        let (result, _blocks) = zigzag_join_multi(cursors, ALL_DOCS);
         let expect: Vec<DocId> = (0..240).filter(|d| d % 12 == 0).map(DocId).collect();
         assert_eq!(result, expect);
     }
 
     #[test]
     fn multi_way_empty_and_single() {
-        let (r, b) = zigzag_join_multi(Vec::new());
+        let (r, b) = zigzag_join_multi(Vec::new(), ALL_DOCS);
         assert!(r.is_empty());
         assert_eq!(b, 0);
         let a = mem(&[4, 8]);
         let cursors: Vec<Box<dyn DocCursor>> = vec![Box::new(MemCursor::new(&a))];
-        let (r, _) = zigzag_join_multi(cursors);
+        let (r, _) = zigzag_join_multi(cursors, ALL_DOCS);
         assert_eq!(r, mem(&[4, 8]));
+        let cursors: Vec<Box<dyn DocCursor>> = vec![Box::new(MemCursor::new(&a))];
+        let (r, _) = zigzag_join_multi(cursors, DocId(5)..DocId(8));
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -404,7 +399,7 @@ mod tests {
             let i2 = jump_list(&l2.iter().map(|&d| (d, 0)).collect::<Vec<_>>());
             let mut c1 = JumpCursor::new(&i1, Some(0), l1.len() as u64);
             let mut c2 = JumpCursor::new(&i2, Some(0), l2.len() as u64);
-            let got = zigzag_join(&mut c1, &mut c2);
+            let got = zigzag_join(&mut c1, &mut c2, ALL_DOCS);
             let set2: std::collections::HashSet<u64> = l2.iter().copied().collect();
             let expect: Vec<DocId> = l1
                 .iter()

@@ -229,13 +229,6 @@ impl BinaryJumpIndex {
         Ok(None)
     }
 
-    /// All indexed keys in ascending order (diagnostics/audits).
-    pub fn keys_sorted(&self) -> Vec<u64> {
-        let mut ks = self.keys.clone();
-        ks.sort_unstable();
-        ks
-    }
-
     /// Full-structure audit: re-derive every pointer constraint and report
     /// the first violation.  Sound for any structure the adversary can
     /// reach by appends, because appends cannot change existing keys or

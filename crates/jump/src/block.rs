@@ -327,7 +327,9 @@ impl<E: JumpEntry> BlockJumpIndex<E> {
             }
             let (i, j) = self.cfg.slot_for_delta(k - nb);
             let flat = self.cfg.flat_slot(i, j) as usize;
-            let target = blk.ptrs[flat];
+            // A key beyond the index's domain has no pointer slot: no
+            // stored key reaches it.
+            let target = blk.ptrs.get(flat).copied().unwrap_or(NULL);
             if target == NULL {
                 return Ok(false);
             }
@@ -389,7 +391,9 @@ impl<E: JumpEntry> BlockJumpIndex<E> {
         }
         let (i, j) = self.cfg.slot_for_delta(k - nb);
         let flat = self.cfg.flat_slot(i, j);
-        let target = blk.ptrs[flat as usize];
+        // A key beyond the index's domain has no pointer slot (and no
+        // later one): no stored key reaches it.
+        let target = blk.ptrs.get(flat as usize).copied().unwrap_or(NULL);
         if target != NULL {
             // Unlike the binary variant, the result may legitimately exceed
             // the pointer's range end: the target block stores a contiguous
@@ -528,11 +532,6 @@ impl<E: JumpEntry> BlockJumpIndex<E> {
     // Internal access for the persistence layer.
     // ------------------------------------------------------------------
 
-    /// The entries stored in chain block `b` (diagnostics).
-    pub fn block_entries(&self, b: u32) -> &[E] {
-        &self.blocks[b as usize].entries
-    }
-
     /// The flat pointer slots of chain block `b`, `u32::MAX` meaning unset
     /// (diagnostics).
     pub fn block_ptrs(&self, b: u32) -> &[u32] {
@@ -625,6 +624,12 @@ mod tests {
                 .unwrap()
                 .map(|p| idx.entry_at(p).unwrap());
             assert_eq!(got, expect, "probe {probe}");
+        }
+        // Keys past the index's domain (1 << 16) have no pointer slot:
+        // absent, not a panic.
+        for beyond in [1u64 << 16, 1 << 40, u64::MAX] {
+            assert!(!idx.lookup(beyond).unwrap(), "phantom {beyond}");
+            assert_eq!(idx.find_geq(beyond).unwrap(), None, "probe {beyond}");
         }
     }
 

@@ -189,11 +189,6 @@ impl HuffmanTagCode {
         }
     }
 
-    /// Number of tags covered.
-    pub fn num_tags(&self) -> usize {
-        self.lengths.len()
-    }
-
     /// Code length in bits for `tag`.
     pub fn code_len(&self, tag: u32) -> u32 {
         self.lengths[tag as usize] as u32

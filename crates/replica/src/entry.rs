@@ -84,10 +84,3 @@ pub struct ReplEntry {
     /// The appended bytes (empty for creates and deletes).
     pub bytes: Vec<u8>,
 }
-
-impl ReplEntry {
-    /// Bytes this entry carries (0 for creates/deletes).
-    pub fn payload_len(&self) -> usize {
-        self.bytes.len()
-    }
-}

@@ -214,3 +214,91 @@ fn peer_that_never_reads_cannot_hang_the_drain() {
         .recv_timeout(Duration::from_secs(30))
         .expect("shutdown must not wait on a peer that never reads");
 }
+
+/// Time bounds far outside the commit-time index's 32-bit domain, and
+/// inverted ones, are ordinary (empty or open) ranges: each is answered,
+/// and no query executor dies on them.
+#[test]
+fn hostile_time_bounds_are_answered_and_serving_continues() {
+    let handle = serve();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let alpha = || WireTerms::Text("alpha".to_string());
+    let cases = [
+        (
+            WireQuery::TimeRange {
+                from: 1 << 40,
+                to: 1 << 41,
+            },
+            0,
+        ),
+        (
+            WireQuery::TimeRange {
+                from: u64::MAX,
+                to: u64::MAX,
+            },
+            0,
+        ),
+        (
+            WireQuery::TimeRange {
+                from: 1 << 41,
+                to: 1 << 40,
+            },
+            0,
+        ),
+        (WireQuery::TimeRange { from: 200, to: 100 }, 0),
+        (
+            WireQuery::TimeRange {
+                from: 0,
+                to: 1 << 40,
+            },
+            1,
+        ),
+        (
+            WireQuery::TimeRange {
+                from: 0,
+                to: u64::MAX,
+            },
+            1,
+        ),
+        (
+            WireQuery::Conjunctive {
+                terms: alpha(),
+                from: Some(1 << 40),
+                to: Some(1 << 41),
+            },
+            0,
+        ),
+        (
+            WireQuery::Conjunctive {
+                terms: alpha(),
+                from: Some(u64::MAX),
+                to: None,
+            },
+            0,
+        ),
+        (
+            WireQuery::Conjunctive {
+                terms: alpha(),
+                from: Some(1 << 41),
+                to: Some(1 << 40),
+            },
+            0,
+        ),
+        (
+            WireQuery::Conjunctive {
+                terms: alpha(),
+                from: None,
+                to: Some(1 << 40),
+            },
+            1,
+        ),
+    ];
+    for (query, hits) in cases {
+        let resp = client
+            .query(query.clone())
+            .expect("hostile bounds are answered");
+        assert_eq!(resp.hits.len(), hits, "{query:?}");
+    }
+    assert_still_serving(&handle);
+    handle.shutdown();
+}

@@ -392,11 +392,6 @@ impl ShardedSearcher {
             .map(|d| d.reason.clone())
     }
 
-    /// Standby readers provisioned for one shard (eligible or not).
-    pub fn replica_readers(&self, shard: u32) -> usize {
-        self.replicas.get(shard as usize).map_or(0, Vec::len)
-    }
-
     /// Standby readers currently eligible to serve one shard's reads:
     /// their pinned watermark equals the shard's visible watermark, so
     /// they return byte-identical responses with the same chain head.

@@ -265,11 +265,6 @@ impl WormDevice {
         self.fault.take()
     }
 
-    /// Whether an armed policy has fired at least once.
-    pub fn fault_tripped(&self) -> bool {
-        self.fault.as_ref().is_some_and(|p| p.tripped())
-    }
-
     /// Fixed capacity of every block, in bytes.
     pub fn block_size(&self) -> usize {
         self.block_size

@@ -114,11 +114,6 @@ impl WormFs {
         self.tap.0.take()
     }
 
-    /// Whether a replication tap is currently attached.
-    pub fn has_tap(&self) -> bool {
-        self.tap.0.is_some()
-    }
-
     /// The underlying device (read-only access, e.g. for audits).
     pub fn device(&self) -> &WormDevice {
         &self.device

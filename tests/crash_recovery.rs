@@ -108,9 +108,12 @@ fn crash_and_recover(target: Target, policy: FaultPolicy) -> (u64, SearchEngine)
     (committed, recovered)
 }
 
+/// Responses to the standard query set: `(doc, score)` per hit, per query.
+type Responses = Vec<Vec<(u64, f64)>>;
+
 /// A reference engine that committed exactly the first `n` documents,
 /// with its responses to the standard query set.
-fn reference(n: u64) -> (SearchEngine, Vec<Vec<(u64, f64)>>) {
+fn reference(n: u64) -> (SearchEngine, Responses) {
     let mut e = SearchEngine::new(config()).expect("config is valid");
     for &(text, ts) in CORPUS.iter().take(n as usize) {
         e.add_document(text, Timestamp(ts)).expect("clean commit");
@@ -175,8 +178,7 @@ fn clean_device_bytes() -> (u64, u64, u64) {
 fn every_byte_offset_tear_converges_to_last_whole_document() {
     let (store_total, doc_total, pos_total) = clean_device_bytes();
     // Cache references per prefix length: the sweep reuses them heavily.
-    let refs: Vec<Vec<Vec<(u64, f64)>>> =
-        (0..=CORPUS.len() as u64).map(|n| reference(n).1).collect();
+    let refs: Vec<Responses> = (0..=CORPUS.len() as u64).map(|n| reference(n).1).collect();
     let mut tails_seen = 0u64;
     for (target, total) in [
         (Target::Store, store_total),
@@ -338,6 +340,9 @@ fn victim_last_commit_range() -> (u64, u64) {
     (before_last, total)
 }
 
+/// The documents each shard committed, as `(text, timestamp)`.
+type ShardDocs = Vec<Vec<(String, Timestamp)>>;
+
 /// Commit the round-robin corpus into a 3-shard archive with `policy`
 /// armed on the victim shard's posting store, treating the victim's
 /// first commit error as that shard's device dying (fail-stop for the
@@ -345,11 +350,7 @@ fn victim_last_commit_range() -> (u64, u64) {
 /// per-shard recovery through [`ShardedArchive::recover`].
 fn sharded_crash_and_recover(
     policy: FaultPolicy,
-) -> (
-    Vec<Vec<(String, Timestamp)>>,
-    ShardedArchive,
-    Vec<ShardRecovery>,
-) {
+) -> (ShardDocs, ShardedArchive, Vec<ShardRecovery>) {
     let mut engines: Vec<SearchEngine> = (0..SHARDS)
         .map(|_| SearchEngine::new(config()).expect("config is valid"))
         .collect();
@@ -360,7 +361,7 @@ fn sharded_crash_and_recover(
     let archive = ShardedArchive::from_engines(engines).expect("≥ 1 shard");
     let (mut writer, searcher) = archive.into_service();
     drop(searcher); // try_into_engines needs the writers to be sole owners
-    let mut per_shard: Vec<Vec<(String, Timestamp)>> = vec![Vec::new(); SHARDS];
+    let mut per_shard: ShardDocs = vec![Vec::new(); SHARDS];
     let mut dead = false;
     for (k, (text, ts)) in sharded_docs().iter().enumerate() {
         let s = (k % SHARDS) as u32;
@@ -649,8 +650,7 @@ fn assert_replicated_converged(
 #[test]
 fn replica_failover_every_byte_tear_converges() {
     let (store_total, doc_total, pos_total) = clean_device_bytes();
-    let refs: Vec<(SearchEngine, Vec<Vec<(u64, f64)>>)> =
-        (0..=CORPUS.len() as u64).map(reference).collect();
+    let refs: Vec<(SearchEngine, Responses)> = (0..=CORPUS.len() as u64).map(reference).collect();
     let mut promotions = 0u64;
     for (target, total) in [
         (Target::Store, store_total),

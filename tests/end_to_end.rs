@@ -189,7 +189,7 @@ fn time_range_queries_match_reference() {
     .unwrap();
     let ts = |d: u64| gen.doc(d).timestamp;
     let (from, to) = (ts(100), ts(399));
-    let got = e.docs_in_time_range(from, to).unwrap();
+    let got = e.execute(&Query::time_range(from, to)).unwrap().docs();
     let expect: Vec<DocId> = gen
         .docs(0..DOCS)
         .filter(|d| d.timestamp >= from && d.timestamp <= to)

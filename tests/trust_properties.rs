@@ -202,4 +202,93 @@ proptest! {
         let after = e.conjunctive_terms(&[a, b]).unwrap().0;
         prop_assert_eq!(after, before);
     }
+
+    /// A time range and a watermark bound every boolean answer exactly:
+    /// conjunctive (zigzag and scan-merge), time-range and phrase answers
+    /// equal a brute-force filter over `document_timestamp` and the
+    /// documents' words.  Timestamps repeat and may sit at the top of the
+    /// 32-bit domain; ranges may be empty, inverted, open or at the `u64`
+    /// extremes; up to 220 commits span two commit-time-index blocks.
+    #[test]
+    fn prop_range_and_watermark_answers_equal_brute_force(
+        base in prop_oneof![Just(0u64), Just(1_000), Just(u32::MAX as u64 - 60)],
+        docs in proptest::collection::vec(
+            (proptest::collection::vec(0usize..4, 1..5), 0u64..3),
+            1..220,
+        ),
+        probes in proptest::collection::vec(
+            (
+                (0u8..7, 0u64..140),
+                (0u8..7, 0u64..140),
+                (0u64..224, any::<bool>()),
+                proptest::collection::vec(0usize..4, 1..4),
+            ),
+            1..12,
+        ),
+    ) {
+        const WORDS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
+        let jump = JumpConfig::new(JumpConfig::new(1 << 12, 4, 1 << 32).pointer_region_bytes() + 32, 4, 1 << 32);
+        let mut engines: Vec<SearchEngine> = [Some(jump), None]
+            .into_iter()
+            .map(|jump| {
+                SearchEngine::new(EngineConfig {
+                    block_size: 64,
+                    assignment: MergeAssignment::uniform(2),
+                    jump,
+                    positional: true,
+                    ..Default::default()
+                })
+                .unwrap()
+            })
+            .collect();
+        let mut ts = base;
+        for (words, step) in &docs {
+            ts = (ts + step).min(u32::MAX as u64);
+            let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+            for e in &mut engines {
+                e.add_document(&text.join(" "), Timestamp(ts)).unwrap();
+            }
+        }
+        // A bound near the commit times, or at an extreme.
+        let bound = |(kind, x): (u8, u64)| match kind {
+            0..=3 => (base + x).saturating_sub(5),
+            4 => 0,
+            5 => u64::MAX,
+            _ => [u32::MAX as u64, 1 << 32, 1 << 40][x as usize % 3],
+        };
+        for (from, to, (watermark, ranged), words) in probes {
+            let (from, to) = (bound(from), bound(to));
+            let text: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+            let text = text.join(" ");
+            let visible = watermark.min(docs.len() as u64);
+            for e in &engines {
+                let in_range = |d: u64| {
+                    let t = e.document_timestamp(DocId(d)).unwrap().0;
+                    d < visible && from <= t && t <= to
+                };
+                let has = |d: u64, w: usize| docs[d as usize].0.contains(&w);
+                let conj: Vec<DocId> = (0..visible)
+                    .filter(|&d| !ranged || in_range(d))
+                    .filter(|&d| words.iter().all(|&w| has(d, w)))
+                    .map(DocId)
+                    .collect();
+                let times: Vec<DocId> = (0..visible).filter(|&d| in_range(d)).map(DocId).collect();
+                let phrase: Vec<DocId> = (0..visible)
+                    .filter(|&d| docs[d as usize].0.windows(words.len()).any(|w| w == &words[..]))
+                    .map(DocId)
+                    .collect();
+                let range = ranged.then(|| TimeRange::new(Timestamp(from), Timestamp(to)));
+                let conj_query = Query::Conjunctive { terms: text.as_str().into(), range };
+                for (query, want) in [
+                    (conj_query, conj),
+                    (Query::time_range(Timestamp(from), Timestamp(to)), times),
+                    (Query::phrase(text.as_str()), phrase),
+                ] {
+                    let got = e.execute_bounded(&query, watermark).unwrap();
+                    prop_assert_eq!(got.docs(), want, "{:?} at watermark {}", query, watermark);
+                    prop_assert_eq!(got.visible_docs, visible);
+                }
+            }
+        }
+    }
 }
